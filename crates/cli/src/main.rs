@@ -40,7 +40,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use tc_baselines::{FullClosure, ReachMatrix, ReachabilityIndex};
-use tc_core::{ClosureConfig, CompressedClosure};
+use tc_core::{ClosureConfig, CompressedClosure, ShardedClosure};
 use tc_graph::{edgelist, generators, NodeId};
 
 fn main() -> ExitCode {
@@ -84,8 +84,9 @@ global flags: --threads N   build/query on N worker threads (0 = one per CPU)
               --shards N    partition the DAG into N shards (weak components,
                             level-cut fallback) with one closure and one
                             writer per shard; serve scatter-gathers across
-                            shards and fuzz replays every trace through the
-                            sharded service in lockstep (1 = unsharded)
+                            shards (default 1) and fuzz replays every trace
+                            through the sharded service in lockstep (fuzz
+                            default: unsharded)
               --paged N     freeze query planes out-of-core: the frozen plane
                             streams to a temp file and queries page it through
                             an N-frame buffer pool instead of holding it
@@ -105,17 +106,18 @@ bench: builds (or loads) the closure, then times single-probe reaches, batch
 reaches, successors and predecessors over a deterministic query mix; combine
 with --frozen / --threads to compare query paths.
 
-serve: spins up the concurrent serving layer (lock-free snapshot readers,
-one background writer), spot-checks reader answers against the closure,
+serve: spins up the sharded serving layer (--shards pieces, default 1;
+lock-free snapshot readers, one background writer per shard behind a
+validating front end), spot-checks reader answers against the closure,
 then measures reader throughput for --duration-ms (default 1000) on
---readers threads (default 2); --churn keeps the writer busy with mixed
+--readers threads (default 2); --churn keeps the writers busy with mixed
 add/remove update batches meanwhile and reports publish counts and
 staleness. With --listen ADDR the same machinery is exposed as a TCP
 daemon speaking a line protocol with string node keys (n0, n1, ... for
 the initial graph): reads answer from lock-free snapshots, writes go
 through the batched background writers, and a client's `shutdown` verb
-stops the daemon (combine with --shards to serve the partitioned
-engine).
+stops the daemon. Both forms build every shard with the loaded closure's
+config, so an .itc footer's threads and hybrid threshold carry over.
 
 fuzz: random update sequences against the closure, each applied op followed
 by a structural audit and periodically cross-checked against a brute-force
@@ -161,8 +163,8 @@ struct Globals {
     /// Override for [`tc_core::ClosureConfig::scoped_deletes`]; `None`
     /// keeps the default (or, for `.itc` input, whatever the builder chose).
     scoped: Option<bool>,
-    /// Shard count for the sharded closure layer; `None` or `Some(1)` means
-    /// the unsharded engine.
+    /// Shard count for `serve` and `fuzz`; `None` means one shard for
+    /// `serve` and the unsharded engine for `fuzz`.
     shards: Option<usize>,
     /// Buffer-pool size (in pages) for out-of-core frozen planes; `None`
     /// keeps freezes fully resident.
@@ -574,13 +576,15 @@ fn bench(args: &[String], globals: Globals) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the concurrent serving layer: spot-checks reader answers against
-/// the closure, then measures snapshot-reader throughput (optionally under
-/// writer churn) and reports publish counts and staleness.
+/// Runs the sharded serving layer: partitions the DAG into `--shards`
+/// pieces (default 1), verifies the composed answers and the service
+/// snapshots against the unsharded closure, then measures scatter-gather
+/// reader throughput (optionally while churn fans out to the per-shard
+/// writers) and reports front-end, writer and publish stats.
 fn serve(args: &[String], globals: Globals) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
-    use tc_core::{ClosureService, ServiceConfig, ServiceOp};
+    use tc_core::{ServiceConfig, ServiceOp, ShardedService};
 
     let path = arg(args, 1)?;
     let mut readers = 2usize;
@@ -609,11 +613,8 @@ fn serve(args: &[String], globals: Globals) -> Result<(), String> {
         }
     }
 
-    let closure = load(path, globals)?;
+    let (closure, sharded) = load_sharded(path, globals)?;
     let n = closure.node_count();
-    if n == 0 {
-        return Err("empty graph: nothing to serve".into());
-    }
     let pairs: Vec<(NodeId, NodeId)> = (0..(4 * n).min(4096) as u64)
         .map(|k| {
             let s = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
@@ -622,151 +623,14 @@ fn serve(args: &[String], globals: Globals) -> Result<(), String> {
         })
         .collect();
     let want = closure.reaches_batch(&pairs);
-
-    if globals.shards.unwrap_or(1) > 1 {
-        return serve_sharded(
-            closure,
-            &pairs,
-            &want,
-            readers,
-            duration_ms,
-            churn,
-            globals,
-        );
-    }
-
-    let service = ClosureService::start(closure, ServiceConfig::new());
-    let mut reader = service.reader();
-    if reader.reaches_batch(&pairs) != want {
-        return Err("service snapshot answers diverge from the closure".into());
-    }
-    println!(
-        "serving {n} nodes: {} probe pairs verified against the closure",
-        pairs.len()
-    );
-
-    let stop = AtomicBool::new(false);
-    let (per_reader, panicked) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let mut r = service.reader();
-                let (stop, pairs) = (&stop, &pairs);
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut probes = 0u64;
-                    let mut max_stale = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        r.refresh().reaches_batch_into(pairs, &mut out);
-                        probes += pairs.len() as u64;
-                        max_stale = max_stale.max(r.staleness());
-                    }
-                    (probes, max_stale)
-                })
-            })
-            .collect();
-        let deadline = Instant::now() + Duration::from_millis(duration_ms);
-        let mut k = 0u64;
-        while Instant::now() < deadline {
-            if churn {
-                let batch: Vec<ServiceOp> = (0..64)
-                    .map(|i| {
-                        let node = NodeId(((k + i) % n as u64) as u32);
-                        let other = NodeId(((k + i + 7) % n as u64) as u32);
-                        // Any of these may skip (cycle, duplicate, missing
-                        // arc) — that is part of the churn the service must
-                        // absorb. Removals ride along since the scoped
-                        // deletion recompute made them batch-friendly.
-                        match (k + i) % 4 {
-                            0 => ServiceOp::AddNode { parents: vec![node] },
-                            1 | 2 => ServiceOp::AddEdge { src: node, dst: other },
-                            _ => {
-                                if (k + i) % 8 == 3 {
-                                    ServiceOp::RemoveNode { node }
-                                } else {
-                                    ServiceOp::RemoveEdge { src: node, dst: other }
-                                }
-                            }
-                        }
-                    })
-                    .collect();
-                k += 64;
-                service.submit_batch(batch).expect("service closed while harness submits");
-                service.flush();
-            } else {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        join_readers(handles)
-    });
-    if !panicked.is_empty() {
-        return Err(format!(
-            "reader thread(s) {panicked:?} panicked during serving \
-             ({} of {readers} readers survived)",
-            per_reader.len()
-        ));
-    }
-
-    let total: u64 = per_reader.iter().map(|&(p, _)| p).sum();
-    let max_stale = per_reader.iter().map(|&(_, s)| s).max().unwrap_or(0);
-    let secs = duration_ms as f64 / 1000.0;
-    println!(
-        "readers {readers}: {total} probes in {secs:.2}s  ({:.0} probes/s, {:.0} per reader)",
-        total as f64 / secs,
-        total as f64 / secs / readers as f64
-    );
-    let (stats, _backend) = service.shutdown();
-    println!(
-        "writer: {} ops submitted, {} applied, {} skipped, {} snapshots published, \
-         max observed staleness {max_stale} ops",
-        stats.submitted, stats.applied, stats.skipped, stats.publishes
-    );
-    if let Some(v) = stats.audit_violation {
-        return Err(format!("structural audit failed during serving: {v}"));
-    }
-    Ok(())
-}
-
-/// The `serve` benchmark on the sharded layer: the DAG is partitioned into
-/// `--shards` pieces, answers are verified bit-identical against the
-/// unsharded closure before any timing, then reader threads scatter-gather
-/// batch probes while (optionally) churn fans out to the per-shard writers.
-#[allow(clippy::too_many_arguments)]
-fn serve_sharded(
-    closure: CompressedClosure,
-    pairs: &[(NodeId, NodeId)],
-    want: &[bool],
-    readers: usize,
-    duration_ms: u64,
-    churn: bool,
-    globals: Globals,
-) -> Result<(), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
-    use tc_core::{ServiceConfig, ServiceOp, ShardedClosure, ShardedService};
-
-    let shards = globals.shards.unwrap_or(1);
-    let n = closure.node_count();
-    let mut config = ClosureConfig::new().threads(globals.threads_or_serial());
-    if let Some(scoped) = globals.scoped {
-        config = config.scoped_deletes(scoped);
-    }
-    if let Some(pool) = globals.paged {
-        // Each shard freezes its own out-of-core plane on its own pool.
-        config = config.paged(pool);
-    }
-    if let Some(threshold) = globals.hybrid {
-        config = config.hybrid(threshold);
-    }
-    let sharded =
-        ShardedClosure::build(config, closure.graph(), shards).map_err(|e| e.to_string())?;
-    if sharded.reaches_batch(pairs) != want {
+    if sharded.reaches_batch(&pairs) != want {
         return Err("sharded answers diverge from the unsharded closure".into());
     }
+    let shards = sharded.shard_count();
     println!(
-        "sharded {n} nodes into {} shards (sizes {:?}, {} cross arcs, boundary {}): \
+        "sharded {n} nodes into {shards} shard{} (sizes {:?}, {} cross arcs, boundary {}): \
          {} probe pairs verified against the unsharded closure",
-        sharded.shard_count(),
+        if shards == 1 { "" } else { "s" },
         sharded.shard_sizes(),
         sharded.cross_arc_count(),
         sharded.boundary_size(),
@@ -775,16 +639,17 @@ fn serve_sharded(
 
     let service = ShardedService::start(sharded, ServiceConfig::new());
     let mut reader = service.reader();
-    if reader.reaches_batch(pairs) != want {
-        return Err("sharded service snapshot answers diverge from the closure".into());
+    if reader.reaches_batch(&pairs) != want {
+        return Err("service snapshot answers diverge from the closure".into());
     }
+    println!("service snapshots: {} probe pairs verified against the closure", pairs.len());
 
     let stop = AtomicBool::new(false);
     let (per_reader, panicked) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..readers)
             .map(|_| {
                 let mut r = service.reader();
-                let (stop, pairs) = (&stop, pairs);
+                let (stop, pairs) = (&stop, &pairs);
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     let mut probes = 0u64;
@@ -806,6 +671,9 @@ fn serve_sharded(
                     .map(|i| {
                         let node = NodeId(((k + i) % n as u64) as u32);
                         let other = NodeId(((k + i + 7) % n as u64) as u32);
+                        // Any of these may be rejected (cycle, duplicate,
+                        // missing arc) — that is part of the churn the
+                        // front end must absorb.
                         match (k + i) % 4 {
                             0 => ServiceOp::AddNode { parents: vec![node] },
                             1 | 2 => ServiceOp::AddEdge { src: node, dst: other },
@@ -848,7 +716,8 @@ fn serve_sharded(
     let (stats, sc) = service.shutdown();
     println!(
         "front end: {} ops submitted, {} rejected, {} routed; shard writers: \
-         {} applied, {} skipped; {} route publishes, max observed staleness {max_stale} ops",
+         {} applied, {} skipped; {} route snapshots published, max observed staleness \
+         {max_stale} ops",
         stats.submitted, stats.rejected, stats.routed, stats.applied, stats.skipped,
         stats.publishes
     );
@@ -858,6 +727,23 @@ fn serve_sharded(
     sc.audit()
         .map_err(|e| format!("sharded closure audit failed after shutdown: {e}"))?;
     Ok(())
+}
+
+/// Loads `path` for serving and partitions it into `--shards` pieces
+/// (default 1). Every shard is built with the loaded closure's own config:
+/// `load` has already merged the global flags over an `.itc` footer's, so
+/// armed hybrid rows, the thread count, gap and reserve reach the served
+/// planes.
+fn load_sharded(path: &str, globals: Globals) -> Result<(CompressedClosure, ShardedClosure), String> {
+    let closure = load(path, globals)?;
+    if closure.node_count() == 0 {
+        return Err("empty graph: nothing to serve".into());
+    }
+    let shards = globals.shards.unwrap_or(1);
+    let sharded = ShardedClosure::build(*closure.config(), closure.graph(), shards)
+        .map_err(|e| e.to_string())?;
+    println!("shard config {:?}", sharded.config());
+    Ok((closure, sharded))
 }
 
 /// Joins the benchmark's reader threads one by one, collecting the indices
@@ -883,28 +769,10 @@ fn join_readers<'scope>(
 /// initial graph); the daemon serves the line protocol until a client sends
 /// the `shutdown` verb.
 fn serve_listen(path: &str, addr: &str, globals: Globals) -> Result<(), String> {
-    use tc_core::ShardedClosure;
     use tc_server::{Dict, Engine, EngineConfig, Server, ServerConfig};
 
-    let closure = load(path, globals)?;
-    let n = closure.node_count();
-    if n == 0 {
-        return Err("empty graph: nothing to serve".into());
-    }
-    let shards = globals.shards.unwrap_or(1);
-    let mut config = ClosureConfig::new().threads(globals.threads_or_serial());
-    if let Some(scoped) = globals.scoped {
-        config = config.scoped_deletes(scoped);
-    }
-    if let Some(pool) = globals.paged {
-        // Each shard freezes its own out-of-core plane on its own pool.
-        config = config.paged(pool);
-    }
-    if let Some(threshold) = globals.hybrid {
-        config = config.hybrid(threshold);
-    }
-    let sharded =
-        ShardedClosure::build(config, closure.graph(), shards).map_err(|e| e.to_string())?;
+    let (_, sharded) = load_sharded(path, globals)?;
+    let (n, shards) = (sharded.node_count(), sharded.shard_count());
     let engine = Engine::start(sharded, Dict::with_default_keys(n), EngineConfig::default());
     let server = Server::start(engine, addr, ServerConfig::default())
         .map_err(|e| format!("binding {addr}: {e}"))?;

@@ -225,7 +225,7 @@ fn serve_shards_flag_in_both_spellings() {
     let text = stdout(&out);
     assert!(text.contains("into 3 shards"), "{text}");
 
-    // `--shards 1` is the unsharded serving path, unchanged.
+    // `--shards 1` runs the same sharded harness on a single shard.
     let out = bin()
         .args([
             "serve",
@@ -239,8 +239,9 @@ fn serve_shards_flag_in_both_spellings() {
         .unwrap();
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
+    assert!(text.contains("into 1 shard "), "{text}");
     assert!(text.contains("snapshots published"), "{text}");
-    assert!(!text.contains("front end:"), "{text}");
+    assert!(text.contains("front end:"), "{text}");
 
     // Zero and garbage are rejected up front.
     let out = bin()
@@ -256,6 +257,70 @@ fn serve_shards_flag_in_both_spellings() {
         .unwrap();
     assert!(!out.status.success());
     assert!(stderr(&out).contains("invalid --shards"));
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Both serving forms build their shards with the loaded closure's
+/// config: an `.itc` footer's thread count and hybrid threshold reach the
+/// served planes, and an explicit global flag still overrides the footer.
+#[test]
+fn serve_builds_shards_with_the_loaded_closure_config() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let dir = tmpdir("serve_config");
+    let edges = dir.join("g.txt");
+    let itc = dir.join("g.itc");
+    let out = bin().args(["gen", "80", "2.0", "7"]).output().unwrap();
+    assert!(out.status.success());
+    std::fs::write(&edges, &out.stdout).unwrap();
+    let out = bin()
+        .args(["compress", edges.to_str().unwrap(), itc.to_str().unwrap()])
+        .args(["--hybrid", "8", "--threads", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    for (extra, threads) in [(None, "threads: 3,"), (Some("2"), "threads: 2,")] {
+        let mut cmd = bin();
+        cmd.args(["serve", itc.to_str().unwrap(), "--duration-ms", "50", "--shards", "2"]);
+        if let Some(t) = extra {
+            cmd.args(["--threads", t]);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        let text = stdout(&out);
+        let config = text.lines().find(|l| l.starts_with("shard config")).unwrap_or("");
+        assert!(config.contains(threads), "{text}");
+        assert!(config.contains("hybrid_threshold: 8 "), "{text}");
+    }
+
+    // The daemon: read the config and bound address off stdout, then stop
+    // it over the wire.
+    let mut child = bin()
+        .args(["serve", itc.to_str().unwrap(), "--listen", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut before = Vec::new();
+    let addr = loop {
+        let line = lines.next().expect("daemon exited before binding").unwrap();
+        if line.starts_with("serving ") {
+            break line.rsplit(" on ").next().unwrap().to_string();
+        }
+        before.push(line);
+    };
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    conn.write_all(b"shutdown\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&conn).read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim(), "ok bye");
+    assert!(child.wait().unwrap().success());
+    let config = before.iter().find(|l| l.starts_with("shard config"));
+    let config = config.map_or("", String::as_str);
+    assert!(config.contains("threads: 3,"), "{before:?}");
+    assert!(config.contains("hybrid_threshold: 8 "), "{before:?}");
 
     let _ = std::fs::remove_dir_all(dir);
 }

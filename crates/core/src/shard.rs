@@ -18,18 +18,22 @@
 //!   reachability between same-shard endpoints. `reaches(src, dst)` then
 //!   composes as *intra-shard probe* ∨ (*src → boundary exit* ∧ *boundary
 //!   hop* ∧ *boundary entry → dst*).
-//! * [`ShardedClosure`] is the offline form: exact, synchronous, boundary
-//!   eagerly rebuilt after any mutation that can change it. Its §4 update
-//!   vocabulary matches [`CompressedClosure`] (refinement degrades to a
-//!   generic insert when the reserve runs dry or parents span shards — the
-//!   answers are identical because refinement keeps the parent→child arcs).
-//! * [`ShardedService`] is the online form: one [`ClosureService`] writer
-//!   per shard, a front end that validates ops against an authoritative
-//!   mirror (so per-shard writers never skip and never diverge from the
-//!   routing tables), and a routing/boundary snapshot republished at every
+//! * [`ShardedClosure`] is the partitioned value: routing tables, one
+//!   closure per shard, the cross arcs, the whole-graph mirror and the
+//!   boundary closure, with exact composed reads, `audit` and `verify`.
+//!   [`ShardedClosure::build`] produces it and [`ShardedService::shutdown`]
+//!   hands it back; it has no update methods of its own.
+//! * [`ShardedService`] is the one write path for the §4 update
+//!   vocabulary: one [`ClosureService`] writer per shard, a front end that
+//!   validates ops against an authoritative mirror (so per-shard writers
+//!   never skip and never diverge from the routing tables), and a
+//!   routing/boundary snapshot republished at every
 //!   [`ShardedService::flush`]. Between flushes each shard is prefix
 //!   consistent on its own and cross-shard composition may mix prefixes;
-//!   after a flush the composed answers are exact.
+//!   after a flush the composed answers are exact. Refinement is always
+//!   the generic insert (new node under the child's parents, plus an arc
+//!   into the child), which answers like §4.1's because refinement keeps
+//!   the parent→child arcs.
 //!
 //! [`ShardedReader`] scatter-gathers batch probes: pairs are grouped by
 //! shard and answered through the zero-alloc
@@ -45,7 +49,6 @@ use tc_graph::{traverse, BitSet, DiGraph, NodeId};
 use crate::serve::{
     ClosureService, ServiceClosed, ServiceConfig, ServiceOp, ServiceReader, ServiceSnapshot,
 };
-use crate::updates::UpdateError;
 use crate::{ClosureConfig, CompressedClosure};
 
 /// Global↔local id translation for a fixed shard assignment. Global ids
@@ -283,26 +286,31 @@ impl Boundary {
     }
 }
 
-/// The offline sharded closure: one [`CompressedClosure`] per shard over
-/// the intra-shard arcs, the cross-arc list, and the boundary closure.
-/// Exact at every point — mutations rebuild the boundary eagerly whenever
-/// it could have changed — with the same §4 update vocabulary as the
-/// single closure.
+/// A partitioned closure: one [`CompressedClosure`] per shard over the
+/// intra-shard arcs, the cross-arc list, the whole-graph mirror, and the
+/// boundary closure. [`ShardedClosure::build`] produces it and
+/// [`ShardedService::shutdown`] returns it; in between, every update goes
+/// through the service. The value itself is read-only: composed reads,
+/// [`ShardedClosure::audit`] and [`ShardedClosure::verify`].
 ///
 /// ```
 /// use tc_graph::{DiGraph, NodeId};
-/// use tc_core::shard::ShardedClosure;
+/// use tc_core::serve::{ServiceConfig, ServiceOp};
+/// use tc_core::shard::{ShardedClosure, ShardedService};
 /// use tc_core::ClosureConfig;
 ///
 /// // Two weakly connected components land on different shards.
 /// let g = DiGraph::from_edges([(0, 1), (1, 2), (3, 4)]);
-/// let mut sc = ShardedClosure::build(ClosureConfig::new(), &g, 2).unwrap();
+/// let sc = ShardedClosure::build(ClosureConfig::new(), &g, 2).unwrap();
 /// assert_eq!(sc.shard_count(), 2);
 /// assert!(sc.reaches(NodeId(0), NodeId(2)));
 /// assert!(!sc.reaches(NodeId(0), NodeId(4)));
-/// // A cross-shard arc goes through the boundary closure.
-/// sc.add_edge(NodeId(2), NodeId(3)).unwrap();
+/// // A cross-shard arc goes through the service and the boundary closure.
+/// let service = ShardedService::start(sc, ServiceConfig::new());
+/// service.submit(ServiceOp::AddEdge { src: NodeId(2), dst: NodeId(3) }).unwrap();
+/// let (_, sc) = service.shutdown();
 /// assert!(sc.reaches(NodeId(0), NodeId(4)));
+/// assert_eq!(sc.cross_arc_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedClosure {
@@ -369,16 +377,6 @@ impl ShardedClosure {
             boundary,
             config,
         })
-    }
-
-    fn rebuild_boundary(&mut self) {
-        self.boundary = boundary_over(&self.shards, &self.cross, &self.routing);
-    }
-
-    /// Whether the intra arcs of shard `s` can influence the boundary
-    /// closure: only if the shard hosts at least two boundary nodes.
-    fn shard_shapes_boundary(&self, s: usize) -> bool {
-        !self.boundary.is_empty() && self.boundary.by_shard[s].len() >= 2
     }
 
     /// Total number of nodes across all shards.
@@ -503,254 +501,6 @@ impl ShardedClosure {
             out.sort_unstable();
         }
         out
-    }
-
-    /// Adds a node with incoming arcs from `parents` (§4.2). The node
-    /// lands on its first parent's shard (parentless nodes go to the
-    /// least-populated shard); parents on other shards become cross arcs.
-    pub fn add_node_with_parents(&mut self, parents: &[NodeId]) -> Result<NodeId, UpdateError> {
-        let n = self.routing.node_count();
-        for &p in parents {
-            if p.index() >= n {
-                return Err(UpdateError::UnknownNode(p));
-            }
-        }
-        let mut uniq: Vec<NodeId> = Vec::with_capacity(parents.len());
-        for &p in parents {
-            if !uniq.contains(&p) {
-                uniq.push(p);
-            }
-        }
-        let s = uniq
-            .first()
-            .map(|&p| self.routing.shard(p))
-            .unwrap_or_else(|| self.routing.smallest_shard());
-        let local_parents: Vec<NodeId> = uniq
-            .iter()
-            .filter(|&&p| self.routing.shard(p) == s)
-            .map(|&p| self.routing.local(p))
-            .collect();
-        let zl = self.shards[s].add_node_with_parents(&local_parents)?;
-        let (zg, expect) = self.routing.push_node(s);
-        debug_assert_eq!(zl, expect);
-        let zm = self.mirror.add_node();
-        debug_assert_eq!(zm, zg);
-        let mut dirty = false;
-        for &p in &uniq {
-            self.mirror.add_edge(p, zg);
-            if self.routing.shard(p) != s {
-                self.cross.push((p, zg));
-                dirty = true;
-            }
-        }
-        if dirty {
-            self.rebuild_boundary();
-        }
-        Ok(zg)
-    }
-
-    /// Adds the arc `src -> dst` (§4.3). Same-shard arcs go to the shard's
-    /// closure; cross-shard arcs go to the cross list and the boundary
-    /// closure. Returns `Ok(false)` if the arc already exists.
-    pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> Result<bool, UpdateError> {
-        let n = self.routing.node_count();
-        if src.index() >= n {
-            return Err(UpdateError::UnknownNode(src));
-        }
-        if dst.index() >= n {
-            return Err(UpdateError::UnknownNode(dst));
-        }
-        if src == dst {
-            return Err(UpdateError::SelfLoop(src));
-        }
-        if self.mirror.has_edge(src, dst) {
-            return Ok(false);
-        }
-        if self.reaches(dst, src) {
-            return Err(UpdateError::WouldCreateCycle { src, dst });
-        }
-        let (ss, sd) = (self.routing.shard(src), self.routing.shard(dst));
-        if ss == sd {
-            self.shards[ss].add_edge(self.routing.local(src), self.routing.local(dst))?;
-            self.mirror.add_edge(src, dst);
-            if self.shard_shapes_boundary(ss) {
-                self.rebuild_boundary();
-            }
-        } else {
-            self.mirror.add_edge(src, dst);
-            self.cross.push((src, dst));
-            self.rebuild_boundary();
-        }
-        Ok(true)
-    }
-
-    /// Removes the arc `src -> dst` (§4.4 / PR 5 scoped recompute inside
-    /// the owning shard).
-    pub fn remove_edge(&mut self, src: NodeId, dst: NodeId) -> Result<(), UpdateError> {
-        let n = self.routing.node_count();
-        if src.index() >= n {
-            return Err(UpdateError::UnknownNode(src));
-        }
-        if dst.index() >= n {
-            return Err(UpdateError::UnknownNode(dst));
-        }
-        if !self.mirror.has_edge(src, dst) {
-            return Err(UpdateError::NoSuchEdge(src, dst));
-        }
-        let (ss, sd) = (self.routing.shard(src), self.routing.shard(dst));
-        if ss == sd {
-            self.shards[ss].remove_edge(self.routing.local(src), self.routing.local(dst))?;
-            self.mirror.remove_edge(src, dst);
-            if self.shard_shapes_boundary(ss) {
-                self.rebuild_boundary();
-            }
-        } else {
-            let pos = self
-                .cross
-                .iter()
-                .position(|&a| a == (src, dst))
-                .expect("cross arc tracked in cross list");
-            self.cross.swap_remove(pos);
-            self.mirror.remove_edge(src, dst);
-            self.rebuild_boundary();
-        }
-        Ok(())
-    }
-
-    /// Removes `node` and every incident arc; the owning shard quarantines
-    /// the slot exactly like [`CompressedClosure::remove_node`].
-    pub fn remove_node(&mut self, node: NodeId) -> Result<(), UpdateError> {
-        if node.index() >= self.routing.node_count() {
-            return Err(UpdateError::UnknownNode(node));
-        }
-        let s = self.routing.shard(node);
-        self.shards[s].remove_node(self.routing.local(node))?;
-        for d in self.mirror.successors(node).to_vec() {
-            self.mirror.remove_edge(node, d);
-        }
-        for p in self.mirror.predecessors(node).to_vec() {
-            self.mirror.remove_edge(p, node);
-        }
-        let had_cross = self.cross.iter().any(|&(u, v)| u == node || v == node);
-        self.cross.retain(|&(u, v)| u != node && v != node);
-        if had_cross || self.shard_shapes_boundary(s) {
-            self.rebuild_boundary();
-        }
-        Ok(())
-    }
-
-    /// Interposes a refinement node `z` between `child` and its immediate
-    /// predecessors (§4.1). When all parents share `child`'s shard the
-    /// shard's constant-time reserve path is tried first; if the reserve is
-    /// exhausted, or parents span shards, the op degrades to a generic
-    /// insert (`add_node_with_parents` + `add_edge(z, child)`), which
-    /// yields identical reachability because refinement keeps the original
-    /// `parent -> child` arcs either way. Never returns
-    /// [`UpdateError::ReserveExhausted`].
-    pub fn refine_insert(
-        &mut self,
-        child: NodeId,
-        parents: &[NodeId],
-    ) -> Result<NodeId, UpdateError> {
-        let n = self.routing.node_count();
-        if child.index() >= n {
-            return Err(UpdateError::UnknownNode(child));
-        }
-        for &p in parents {
-            if p.index() >= n {
-                return Err(UpdateError::UnknownNode(p));
-            }
-        }
-        let mut want: Vec<NodeId> = parents.to_vec();
-        want.sort_unstable();
-        want.dedup();
-        let mut have: Vec<NodeId> = self.mirror.predecessors(child).to_vec();
-        have.sort_unstable();
-        if want != have {
-            return Err(UpdateError::RefineParentsMismatch { child });
-        }
-        let s = self.routing.shard(child);
-        let lc = self.routing.local(child);
-        let local_parents: Vec<NodeId> = want
-            .iter()
-            .filter(|&&p| self.routing.shard(p) == s)
-            .map(|&p| self.routing.local(p))
-            .collect();
-        let all_local = local_parents.len() == want.len();
-        let zl = if all_local {
-            match self.shards[s].refine_insert(lc, &local_parents) {
-                Ok(z) => z,
-                Err(UpdateError::ReserveExhausted(_)) => {
-                    let z = self.shards[s].add_node_with_parents(&local_parents)?;
-                    self.shards[s].add_edge(z, lc)?;
-                    z
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            let z = self.shards[s].add_node_with_parents(&local_parents)?;
-            self.shards[s].add_edge(z, lc)?;
-            z
-        };
-        let (zg, expect) = self.routing.push_node(s);
-        debug_assert_eq!(zl, expect);
-        let zm = self.mirror.add_node();
-        debug_assert_eq!(zm, zg);
-        let mut dirty = false;
-        for &p in &want {
-            self.mirror.add_edge(p, zg);
-            if self.routing.shard(p) != s {
-                self.cross.push((p, zg));
-                dirty = true;
-            }
-        }
-        self.mirror.add_edge(zg, child);
-        if dirty {
-            self.rebuild_boundary();
-        }
-        Ok(zg)
-    }
-
-    /// Relabels every shard (fresh gaps and reserves, tombstones dropped).
-    pub fn relabel(&mut self) {
-        for c in &mut self.shards {
-            c.relabel();
-        }
-    }
-
-    /// Rebuilds every shard from scratch with a fresh optimal cover.
-    pub fn rebuild(&mut self) {
-        for c in &mut self.shards {
-            c.rebuild();
-        }
-    }
-
-    /// Freezes every shard's query plane.
-    pub fn freeze(&mut self) {
-        for c in &mut self.shards {
-            c.freeze();
-        }
-    }
-
-    /// Thaws every shard.
-    pub fn thaw(&mut self) {
-        for c in &mut self.shards {
-            c.thaw();
-        }
-    }
-
-    /// Sets the build/rebuild thread count on every shard.
-    pub fn set_threads(&mut self, threads: usize) {
-        for c in &mut self.shards {
-            c.set_threads(threads);
-        }
-    }
-
-    /// Enables or disables scoped-deletion recompute on every shard.
-    pub fn set_scoped_deletes(&mut self, enable: bool) {
-        for c in &mut self.shards {
-            c.set_scoped_deletes(enable);
-        }
     }
 
     /// Structural audit: every shard's own audit, the routing bijection,
@@ -1375,7 +1125,7 @@ impl ShardedService {
     }
 
     /// Flushes, stops every shard writer, and reassembles the exact
-    /// offline [`ShardedClosure`].
+    /// [`ShardedClosure`].
     pub fn shutdown(self) -> (ShardedStats, ShardedClosure) {
         self.close();
         let stats = self.flush();
@@ -1609,6 +1359,7 @@ impl ShardedReader {
 mod tests {
     use super::*;
     use crate::serve::ServiceOp;
+    use crate::updates::UpdateError;
 
     /// Three weak components plus an isolated node (id 9).
     fn forest() -> DiGraph {
@@ -1685,44 +1436,76 @@ mod tests {
         assert_matches_unsharded(&sc, &flat);
     }
 
+    /// After a flush, every reader answer — point and batch probes,
+    /// decoded successor and predecessor sets — equals the flat closure's.
+    fn assert_reader_matches(reader: &mut ShardedReader, flat: &CompressedClosure) {
+        let n = flat.node_count();
+        let pairs = all_pairs(n);
+        for &(s, d) in &pairs {
+            assert_eq!(reader.reaches(s, d), flat.reaches(s, d), "reaches({s:?}, {d:?})");
+        }
+        assert_eq!(reader.reaches_batch(&pairs), flat.reaches_batch(&pairs));
+        for u in 0..n {
+            let v = NodeId(u as u32);
+            let mut want = flat.successors(v);
+            want.sort_unstable();
+            assert_eq!(reader.successors(v), want, "successors({u})");
+            let mut want = flat.predecessors(v);
+            want.sort_unstable();
+            assert_eq!(reader.predecessors(v), want, "predecessors({u})");
+        }
+    }
+
     #[test]
     fn update_stream_stays_equivalent() {
         let g = forest();
         let mut flat = CompressedClosure::build(&g).unwrap();
-        let mut sc = ShardedClosure::build(ClosureConfig::new(), &g, 3).unwrap();
+        let sc = ShardedClosure::build(ClosureConfig::new(), &g, 3).unwrap();
+        let service = ShardedService::start(sc, ServiceConfig::new().audit(true));
+        let mut reader = service.reader();
         // A churn script hitting every op class, including cross-shard
         // arcs (component A and component B live on different shards).
+        // Each op goes to the flat closure and through the service; the
+        // front end's verdict must match, and so must every answer after
+        // the flush.
         let a = |i: u32| NodeId(i);
-        // Cross-shard arc: 3 (comp A) -> 4 (comp B).
-        assert_eq!(sc.add_edge(a(3), a(4)).unwrap(), flat.add_edge(a(3), a(4)).unwrap());
-        // Cycle attempt across the boundary must be rejected identically.
-        assert!(matches!(sc.add_edge(a(6), a(0)), Err(UpdateError::WouldCreateCycle { .. })));
-        assert!(matches!(flat.add_edge(a(6), a(0)), Err(UpdateError::WouldCreateCycle { .. })));
-        // New node with parents on two shards.
-        let zs = sc.add_node_with_parents(&[a(6), a(8)]).unwrap();
-        let zf = flat.add_node_with_parents(&[a(6), a(8)]).unwrap();
-        assert_eq!(zs, zf);
-        // Refinement with cross-shard parents (parents of the new node).
-        // The flat closure was built with reserve 0, so its refine path is
-        // exhausted; mirror the sharded layer's documented degradation.
-        let rs = sc.refine_insert(zs, &[a(6), a(8)]).unwrap();
-        let rf = match flat.refine_insert(zf, &[a(6), a(8)]) {
-            Ok(z) => z,
-            Err(UpdateError::ReserveExhausted(_)) => {
-                let z = flat.add_node_with_parents(&[a(6), a(8)]).unwrap();
-                flat.add_edge(z, zf).unwrap();
-                z
-            }
-            Err(e) => panic!("flat refine failed: {e}"),
+        let routed = |new_node| SubmitOutcome::Routed { new_node };
+        let mut step = |op: ServiceOp, want: SubmitOutcome, flat: &CompressedClosure| {
+            let (_, got) = service.submit_with_outcome(op.clone()).unwrap();
+            assert_eq!(got, want, "{op:?}");
+            let stats = service.flush();
+            assert_eq!(stats.skipped, 0, "shard writers must never skip");
+            assert_eq!(stats.audit_violation, None);
+            assert_reader_matches(&mut reader, flat);
         };
-        assert_eq!(rs, rf);
+        // Cross-shard arc: 3 (comp A) -> 4 (comp B).
+        assert!(flat.add_edge(a(3), a(4)).unwrap());
+        step(ServiceOp::AddEdge { src: a(3), dst: a(4) }, routed(None), &flat);
+        // A cycle attempt across the boundary is rejected by both.
+        assert!(matches!(flat.add_edge(a(6), a(0)), Err(UpdateError::WouldCreateCycle { .. })));
+        step(ServiceOp::AddEdge { src: a(6), dst: a(0) }, SubmitOutcome::Rejected, &flat);
+        // New node with parents on two shards.
+        let z = flat.add_node_with_parents(&[a(6), a(8)]).unwrap();
+        step(ServiceOp::AddNode { parents: vec![a(6), a(8)] }, routed(Some(z)), &flat);
+        // Refinement with cross-shard parents. The flat closure was built
+        // with reserve 0, so its §4.1 path is exhausted; the generic insert
+        // it degrades to is what the service always applies.
+        assert!(matches!(
+            flat.refine_insert(z, &[a(6), a(8)]),
+            Err(UpdateError::ReserveExhausted(_))
+        ));
+        let r = flat.add_node_with_parents(&[a(6), a(8)]).unwrap();
+        flat.add_edge(r, z).unwrap();
+        step(ServiceOp::Refine { child: z }, routed(Some(r)), &flat);
         // Remove the cross arc again, then a node with cross arcs.
-        sc.remove_edge(a(3), a(4)).unwrap();
         flat.remove_edge(a(3), a(4)).unwrap();
-        sc.remove_node(a(6)).unwrap();
+        step(ServiceOp::RemoveEdge { src: a(3), dst: a(4) }, routed(None), &flat);
         flat.remove_node(a(6)).unwrap();
-        sc.relabel();
+        step(ServiceOp::RemoveNode { node: a(6) }, routed(None), &flat);
         flat.relabel();
+        step(ServiceOp::Relabel, routed(None), &flat);
+        let (stats, sc) = service.shutdown();
+        assert_eq!(stats.rejected, 1);
         assert!(sc.audit().is_ok(), "audit: {:?}", sc.audit());
         assert!(sc.verify().is_ok(), "verify: {:?}", sc.verify());
         assert_matches_unsharded(&sc, &flat);

@@ -600,7 +600,7 @@ impl EngineState {
     }
 
     /// Shuts the lockstep replica down, auditing and verifying the
-    /// reassembled offline [`ShardedClosure`]. No-op when sharding is off.
+    /// reassembled [`ShardedClosure`]. No-op when sharding is off.
     pub fn finish_sharded(&mut self) -> Result<(), (ViolationKind, String)> {
         let Some(ls) = self.sharded.take() else {
             return Ok(());

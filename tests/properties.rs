@@ -490,57 +490,101 @@ proptest! {
         assert_sharded_matches(&sc, &flat, &g);
     }
 
-    /// Equivalence survives update churn that stitches shards together and
-    /// tears them apart again: random edge inserts (cross-shard included),
-    /// edge deletes, and leaf inserts, applied to both layers in lockstep.
+    /// Equivalence survives update churn through the one sharded write
+    /// path. Random edge inserts (cross-shard included), edge deletes,
+    /// leaf inserts, node removals and refinements go to a
+    /// `ShardedService` and a flat closure in lockstep; one id past the
+    /// end exercises unknown-node rejections. The front end's verdict must
+    /// match the flat closure's (`Rejected` exactly on `Err`, `Noop`
+    /// exactly on `Ok(false)`, equal new node ids), and after every flush
+    /// the reader must answer every pair like the flat closure.
     #[test]
     fn sharded_closure_survives_cross_shard_churn(
         g in arb_components(),
         shards in 2usize..5,
         ops in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..16),
     ) {
-        let mut mirror = g.clone();
-        let mut flat = CompressedClosure::build(&g).unwrap();
-        let mut sc = tc_core::ShardedClosure::build(ClosureConfig::new(), &g, shards).unwrap();
+        use tc_core::{ServiceConfig, ServiceOp, ShardedService, SubmitOutcome, UpdateError};
+        // A small reserve lets some flat refinements take the §4.1 path
+        // and others exhaust it, so both feed the comparison.
+        let cc = ClosureConfig::new().reserve(2);
+        let mut flat = cc.build(&g).unwrap();
+        let sc = tc_core::ShardedClosure::build(cc, &g, shards).unwrap();
+        let service = ShardedService::start(sc, ServiceConfig::new().audit(true));
+        let mut reader = service.reader();
+        let mut rejected = 0;
         for (kind, a, b) in ops {
-            let n = mirror.node_count() as u32;
+            let n = flat.node_count() as u32 + 1;
             let (u, v) = (NodeId(a % n), NodeId(b % n));
-            match kind % 3 {
-                0 => {
-                    // Insert u -> v unless invalid; rejections must agree.
-                    if u == v || mirror.has_edge(u, v)
-                        || tc_graph::traverse::reaches(&mirror, v, u)
-                    {
-                        continue;
-                    }
-                    flat.add_edge(u, v).unwrap();
-                    sc.add_edge(u, v).unwrap();
-                    mirror.add_edge(u, v);
-                }
-                1 => {
-                    if !mirror.has_edge(u, v) {
-                        continue;
-                    }
-                    flat.remove_edge(u, v).unwrap();
-                    sc.remove_edge(u, v).unwrap();
-                    mirror.remove_edge(u, v);
-                }
-                _ => {
-                    // New leaf under two (possibly equal, possibly
+            let verdict = |r: Result<Option<NodeId>, UpdateError>| match r {
+                Ok(new_node) => SubmitOutcome::Routed { new_node },
+                Err(_) => SubmitOutcome::Rejected,
+            };
+            let (op, want) = match kind % 5 {
+                0 => (
+                    ServiceOp::AddEdge { src: u, dst: v },
+                    match flat.add_edge(u, v) {
+                        Ok(false) => SubmitOutcome::Noop,
+                        r => verdict(r.map(|_| None)),
+                    },
+                ),
+                1 => (
+                    ServiceOp::RemoveEdge { src: u, dst: v },
+                    verdict(flat.remove_edge(u, v).map(|_| None)),
+                ),
+                2 => (
+                    // A leaf under two (possibly equal, possibly
                     // cross-shard) parents.
-                    let parents = [u, v];
-                    let zf = flat.add_node_with_parents(&parents).unwrap();
-                    let zs = sc.add_node_with_parents(&parents).unwrap();
-                    prop_assert_eq!(zf, zs);
-                    let m = mirror.add_node();
-                    prop_assert_eq!(m, zs);
-                    mirror.add_edge(u, zs);
-                    mirror.add_edge(v, zs);
+                    ServiceOp::AddNode { parents: vec![u, v] },
+                    verdict(flat.add_node_with_parents(&[u, v]).map(Some)),
+                ),
+                3 => (
+                    ServiceOp::RemoveNode { node: u },
+                    verdict(flat.remove_node(u).map(|_| None)),
+                ),
+                _ => {
+                    // The service always refines by the generic insert;
+                    // the flat closure degrades to it when the reserve
+                    // runs dry. Either way the new id comes next.
+                    let parents = if u.index() < flat.node_count() {
+                        flat.graph().predecessors(u).to_vec()
+                    } else {
+                        Vec::new()
+                    };
+                    let r = match flat.refine_insert(u, &parents) {
+                        Err(UpdateError::ReserveExhausted(_)) => {
+                            flat.add_node_with_parents(&parents).and_then(|z| {
+                                flat.add_edge(z, u)?;
+                                Ok(z)
+                            })
+                        }
+                        r => r,
+                    };
+                    (ServiceOp::Refine { child: u }, verdict(r.map(Some)))
                 }
+            };
+            if want == SubmitOutcome::Rejected {
+                rejected += 1;
+            }
+            let (_, got) = service.submit_with_outcome(op.clone()).unwrap();
+            prop_assert_eq!(got, want, "verdict for {:?}", op);
+            let stats = service.flush();
+            prop_assert_eq!(stats.skipped, 0, "shard writers must never skip");
+            prop_assert_eq!(stats.audit_violation, None);
+            let nodes = flat.node_count() as u32;
+            let pairs: Vec<(NodeId, NodeId)> = (0..nodes)
+                .flat_map(|s| (0..nodes).map(move |d| (NodeId(s), NodeId(d))))
+                .collect();
+            prop_assert_eq!(reader.reaches_batch(&pairs), flat.reaches_batch(&pairs));
+            for &(s, d) in &pairs {
+                prop_assert_eq!(reader.reaches(s, d), flat.reaches(s, d), "reaches({s:?},{d:?})");
             }
         }
+        let (stats, sc) = service.shutdown();
+        prop_assert_eq!(stats.rejected, rejected);
         sc.audit().unwrap();
-        assert_sharded_matches(&sc, &flat, &mirror);
+        sc.verify().unwrap();
+        assert_sharded_matches(&sc, &flat, flat.graph());
     }
 }
 
