@@ -1,15 +1,16 @@
 //! Reader scaling of the concurrent serving layer (DESIGN.md, "Concurrent
 //! serving").
 //!
-//! Builds one random §3.3 DAG, starts a [`tc_core::ClosureService`], and
-//! measures reader throughput (batched `reaches` probes) at 1/2/4/8 reader
+//! Builds one random §3.3 DAG, starts a one-shard
+//! [`tc_core::ShardedService`] — what the daemon and the CLI `serve` run by
+//! default — and measures reader throughput (batched `reaches` probes) at 1/2/4/8 reader
 //! threads, with and without a writer concurrently churning 1000-op
 //! batches of §4-incremental updates (arc + leaf-node inserts, see
 //! [`churn_ops`]) through the service. For comparison it also times the
 //! mutex-serialized design the service replaces: readers and the writer
 //! sharing one `Mutex<CompressedClosure>`, where every published batch
 //! (apply + refreeze) stalls all readers for its full duration. Before any
-//! number is reported, service snapshot answers are checked to be identical
+//! number is reported, the service's answers are checked to be identical
 //! to the mutable closure's over the full probe set.
 //!
 //! ```text
@@ -37,7 +38,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tc_bench::{f2, Args, Table};
-use tc_core::{ClosureConfig, ClosureService, CompressedClosure, ServiceConfig, ServiceOp};
+use tc_core::{
+    ClosureConfig, CompressedClosure, ServiceConfig, ServiceOp, ShardedClosure, ShardedService,
+};
 use tc_graph::{generators, NodeId};
 
 const READER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -91,13 +94,15 @@ fn main() {
         })
         .collect();
 
-    // Answers must be right before they are fast: a service snapshot must
-    // agree with the mutable closure over the whole probe set.
+    // Answers must be right before they are fast: the service's published
+    // view must agree with the mutable closure over the whole probe set.
     let want = closure.reaches_batch(&pairs);
+    let sharded =
+        ShardedClosure::build(ClosureConfig::new(), &g, 1).expect("generated DAG is acyclic");
     {
-        let service = ClosureService::start(closure.clone(), ServiceConfig::new());
+        let service = ShardedService::start(sharded.clone(), ServiceConfig::new());
         let got = service.reader().reaches_batch(&pairs);
-        assert_eq!(got, want, "service snapshot answers diverge from the mutable closure");
+        assert_eq!(got, want, "service answers diverge from the mutable closure");
         eprintln!("service answers identical to mutable closure over {pair_count} pairs");
     }
 
@@ -105,7 +110,7 @@ fn main() {
     for writer in [false, true] {
         for &readers in &READER_COUNTS {
             let cell = best_service_cell(
-                &closure, &pairs, readers, writer, duration_ms, reps, churn_batch, nodes,
+                &sharded, &pairs, readers, writer, duration_ms, reps, churn_batch, nodes,
                 churn_mix,
             );
             eprintln!(
@@ -240,7 +245,7 @@ fn churn_ops(k: u64, batch: usize, nodes: usize, mix: bool) -> Vec<ServiceOp> {
 
 #[allow(clippy::too_many_arguments)]
 fn best_service_cell(
-    closure: &CompressedClosure,
+    sharded: &ShardedClosure,
     pairs: &[(NodeId, NodeId)],
     readers: usize,
     writer: bool,
@@ -259,7 +264,7 @@ fn best_service_cell(
         publishes: 0,
     };
     for _ in 0..reps {
-        let service = ClosureService::start(closure.clone(), ServiceConfig::new().audit(false));
+        let service = ShardedService::start(sharded.clone(), ServiceConfig::new().audit(false));
         let stop = AtomicBool::new(false);
         let (total, max_stale, elapsed) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..readers)
@@ -271,7 +276,7 @@ fn best_service_cell(
                         let mut probes = 0u64;
                         let mut max_stale = 0u64;
                         while !stop.load(Ordering::Relaxed) {
-                            r.refresh().reaches_batch_into(pairs, &mut out);
+                            r.reaches_batch_into(pairs, &mut out);
                             probes += pairs.len() as u64;
                             max_stale = max_stale.max(r.staleness());
                         }
@@ -307,7 +312,7 @@ fn best_service_cell(
             }
             (total, max_stale, elapsed)
         });
-        let (stats, _backend) = service.shutdown();
+        let (stats, _) = service.shutdown();
         let qps = total as f64 / elapsed;
         if qps > best.qps {
             best.qps = qps;

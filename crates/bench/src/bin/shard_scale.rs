@@ -9,18 +9,17 @@
 //!
 //! * **writer throughput** — churn batches submitted through the
 //!   [`tc_core::ShardedService`] front end, which validates each op against
-//!   its authoritative mirror and fans the survivors out to one
-//!   [`tc_core::ClosureService`] writer thread per shard (ops/s of
-//!   submitted churn, plus the per-shard applied count);
+//!   its authoritative mirror and fans the survivors out to one writer
+//!   thread per shard (ops/s of submitted churn, plus the applied count);
 //! * **batch-read throughput** — reader threads scatter-gathering the
 //!   probe set through [`tc_core::ShardedReader::reaches_batch_into`]
 //!   (same-shard pairs grouped per shard, leftovers through the boundary
 //!   closure), with and without concurrent churn.
 //!
-//! The unsharded [`tc_core::ClosureService`] is measured as the `flat`
-//! baseline rows. Writer scaling is capped by physical cores — the `cores`
-//! column records `std::thread::available_parallelism` so single-core runs
-//! read honestly.
+//! Scaling ratios are against the 1-shard row, the service every
+//! unsharded caller runs. Writer scaling is capped by physical cores — the
+//! `cores` column records `std::thread::available_parallelism` so
+//! single-core runs read honestly.
 //!
 //! Churn is component-local (shallow-source arc inserts, leaf adds, and
 //! removals of the batch's own inserts within one component) with a 1/128
@@ -33,9 +32,9 @@
 //!             [--churn-batch 512]
 //! ```
 //!
-//! Writes `results/shard_scale.csv`: one row per (mode, shards) with
-//! writer ops/s, read-only and under-churn probes/s, cross-arc and
-//! boundary sizes, and scaling ratios against the flat baseline.
+//! Writes `results/shard_scale.csv`: one row per shard count with writer
+//! ops/s, read-only and under-churn probes/s, cross-arc and boundary
+//! sizes, and scaling ratios against the 1-shard row.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -43,17 +42,13 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tc_bench::{f2, Args, Table};
-use tc_core::{
-    ClosureConfig, ClosureService, CompressedClosure, ServiceConfig, ServiceOp, ShardedClosure,
-    ShardedService,
-};
+use tc_core::{ClosureConfig, ServiceConfig, ServiceOp, ShardedClosure, ShardedService};
 use tc_graph::{generators, NodeId};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// One (mode, shards) row.
+/// One row per shard count.
 struct Measurement {
-    mode: &'static str,
     shards: usize,
     cross_arcs: usize,
     boundary: usize,
@@ -119,7 +114,6 @@ fn main() {
 
     let churn = Churn { components, comp_size };
     let mut cells: Vec<Measurement> = Vec::new();
-    cells.push(flat_cell(&closure, &pairs, &want, readers, duration_ms, reps, churn_batch, churn));
     for &shards in &SHARD_COUNTS {
         let start = Instant::now();
         let sharded = ShardedClosure::build(ClosureConfig::new(), &g, shards)
@@ -151,7 +145,6 @@ fn main() {
              cells, best of {reps}, {cores} cores"
         ),
         &[
-            "mode",
             "shards",
             "cores",
             "cross_arcs",
@@ -160,15 +153,14 @@ fn main() {
             "applied",
             "read_probes_per_s",
             "churn_probes_per_s",
-            "writer_scaling_vs_flat",
-            "read_scaling_vs_flat",
+            "writer_scaling_vs_1shard",
+            "read_scaling_vs_1shard",
         ],
     );
-    let flat_write = cells[0].write_ops;
-    let flat_read = cells[0].read_qps;
+    let one_write = cells[0].write_ops;
+    let one_read = cells[0].read_qps;
     for cell in &cells {
         table.row(&[
-            cell.mode.to_string(),
             cell.shards.to_string(),
             cores.to_string(),
             cell.cross_arcs.to_string(),
@@ -177,18 +169,18 @@ fn main() {
             cell.applied.to_string(),
             format!("{:.0}", cell.read_qps),
             format!("{:.0}", cell.churn_qps),
-            f2(cell.write_ops / flat_write),
-            f2(cell.read_qps / flat_read),
+            f2(cell.write_ops / one_write),
+            f2(cell.read_qps / one_read),
         ]);
     }
     table.finish("shard_scale");
 
-    for cell in cells.iter().filter(|c| c.mode == "sharded") {
+    for cell in &cells[1..] {
         println!(
-            "{} shards: writer {:.2}x, batch reads {:.2}x vs the flat service ({cores} cores)",
+            "{} shards: writer {:.2}x, batch reads {:.2}x vs 1 shard ({cores} cores)",
             cell.shards,
-            cell.write_ops / flat_write,
-            cell.read_qps / flat_read
+            cell.write_ops / one_write,
+            cell.read_qps / one_read
         );
     }
 }
@@ -280,88 +272,6 @@ fn timed_cell(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn flat_cell(
-    closure: &CompressedClosure,
-    pairs: &[(NodeId, NodeId)],
-    want: &[bool],
-    readers: usize,
-    duration_ms: u64,
-    reps: usize,
-    churn_batch: usize,
-    churn: Churn,
-) -> Measurement {
-    let mut best = Measurement {
-        mode: "flat",
-        shards: 1,
-        cross_arcs: 0,
-        boundary: 0,
-        write_ops: 0.0,
-        applied: 0,
-        read_qps: 0.0,
-        churn_qps: 0.0,
-    };
-    for _ in 0..reps {
-        // Read-only cell.
-        let service = ClosureService::start(closure.clone(), ServiceConfig::new().audit(false));
-        assert_eq!(service.reader().reaches_batch(pairs), want);
-        let (read_qps, _) = timed_cell(
-            readers,
-            duration_ms,
-            |stop| {
-                let mut r = service.reader();
-                let mut out = Vec::new();
-                let mut probes = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    r.refresh().reaches_batch_into(pairs, &mut out);
-                    probes += pairs.len() as u64;
-                }
-                probes
-            },
-            || 0,
-        );
-        service.shutdown();
-        best.read_qps = best.read_qps.max(read_qps);
-
-        // Churn cell: same readers plus the writer churning.
-        let service = ClosureService::start(closure.clone(), ServiceConfig::new().audit(false));
-        let mut k = 0u64;
-        let (churn_qps, write_ops) = timed_cell(
-            readers,
-            duration_ms,
-            |stop| {
-                let mut r = service.reader();
-                let mut out = Vec::new();
-                let mut probes = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    r.refresh().reaches_batch_into(pairs, &mut out);
-                    probes += pairs.len() as u64;
-                }
-                probes
-            },
-            || {
-                service
-                    .submit_batch(churn_ops(k, churn_batch, churn))
-                    .expect("service closed mid-bench");
-                k += churn_batch as u64;
-                service.flush();
-                churn_batch as u64
-            },
-        );
-        let (stats, _) = service.shutdown();
-        if write_ops > best.write_ops {
-            best.write_ops = write_ops;
-            best.applied = stats.applied;
-            best.churn_qps = churn_qps;
-        }
-    }
-    eprintln!(
-        "flat     1 shard : {:>10.0} writer ops/s, {:>12.0} read probes/s, {:>12.0} under churn",
-        best.write_ops, best.read_qps, best.churn_qps
-    );
-    best
-}
-
-#[allow(clippy::too_many_arguments)]
 fn sharded_cell(
     sharded: &ShardedClosure,
     pairs: &[(NodeId, NodeId)],
@@ -374,7 +284,6 @@ fn sharded_cell(
     churn: Churn,
 ) -> Measurement {
     let mut best = Measurement {
-        mode: "sharded",
         shards,
         cross_arcs: sharded.cross_arc_count(),
         boundary: sharded.boundary_size(),
@@ -406,7 +315,7 @@ fn sharded_cell(
         best.read_qps = best.read_qps.max(read_qps);
 
         // Churn cell: the front end validates, routes to per-shard writers,
-        // and republishes the routing/boundary snapshot at each flush.
+        // and publishes one view of all shards at each flush.
         let service = ShardedService::start(sharded.clone(), ServiceConfig::new().audit(false));
         let mut k = 0u64;
         let (churn_qps, write_ops) = timed_cell(

@@ -716,7 +716,7 @@ fn serve(args: &[String], globals: Globals) -> Result<(), String> {
     let (stats, sc) = service.shutdown();
     println!(
         "front end: {} ops submitted, {} rejected, {} routed; shard writers: \
-         {} applied, {} skipped; {} route snapshots published, max observed staleness \
+         {} applied, {} skipped; {} snapshots published, max observed staleness \
          {max_stale} ops",
         stats.submitted, stats.rejected, stats.routed, stats.applied, stats.skipped,
         stats.publishes

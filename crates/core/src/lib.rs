@@ -85,10 +85,10 @@ pub use closure::CompressedClosure;
 pub use paged::{
     PagedClosure, PagedError, PagedIoStats, PagedPlane, QueryPlane, DEFAULT_POOL_PAGES,
 };
-pub use serve::{
-    ClosureService, ServiceClosed, ServiceConfig, ServiceOp, ServiceReader, ServiceSnapshot,
+pub use serve::{ServiceClosed, ServiceConfig, ServiceOp, ServiceSnapshot};
+pub use shard::{
+    ShardedClosure, ShardedReader, ShardedService, ShardedStats, ShardedView, SubmitOutcome,
 };
-pub use shard::{ShardedClosure, ShardedReader, ShardedService, ShardedStats, SubmitOutcome};
 pub use stats::ClosureStats;
 pub use treecover::{CoverStrategy, TreeCover};
 pub use updates::{EdgeDelta, UpdateError};

@@ -1,39 +1,32 @@
-//! Concurrent serving: lock-free snapshot reads over a batched writer.
+//! Serving primitives: the update vocabulary, the frozen snapshot a reader
+//! probes, and the per-shard writer behind
+//! [`ShardedService`](crate::ShardedService).
 //!
 //! The paper's premise is that a compressed closure is *served*, not
 //! recomputed — "compression is a one-time activity, and once the
 //! compressed closure has been obtained, it can be repeatedly used" (§3.2)
 //! — and §4's incremental updates exist so the structure stays online while
-//! the relation churns. [`ClosureService`] supplies the concurrency story
-//! those two halves need (DESIGN.md, "Concurrent serving"):
+//! the relation churns (DESIGN.md, "Concurrent serving"):
 //!
-//! * **Readers** hold a [`ServiceReader`], whose probes answer from an
-//!   immutable [`ServiceSnapshot`] (one frozen plane, resident or paged)
-//!   behind an `Arc`. The fast path is one atomic epoch load: while the
-//!   epoch matches the reader's cached snapshot, a probe touches no lock
-//!   and allocates nothing. Only when the writer has published something
-//!   newer does the reader take the swap-cell mutex once to clone the new
-//!   `Arc`.
-//! * **The writer** is a single background thread owning the mutable
-//!   closure. Submitted [`ServiceOp`]s queue up and are coalesced into
-//!   batches (at most [`ServiceConfig::batch_max`] per round); each batch
-//!   is applied with the §4 update routines, optionally structurally
-//!   audited, frozen into a fresh snapshot, and *published* by swapping the
-//!   shared `Arc` and bumping the epoch.
+//! * A [`ServiceSnapshot`] is one immutable frozen plane, resident or
+//!   paged, shared behind an `Arc`. Its probes take no lock and allocate
+//!   nothing beyond their own result.
+//! * `ClosureService` is one shard's writer: a background thread owning
+//!   the mutable closure. Submitted [`ServiceOp`]s queue up FIFO; each
+//!   round drains the whole queue, applies it with the §4 update routines,
+//!   optionally audits, and freezes a fresh snapshot.
 //!
-//! The result is *bounded staleness*: a reader is never blocked by the
-//! writer and never observes a torn or thawed closure, but may answer from
-//! a snapshot up to one publish behind the applied state (plus whatever is
-//! still queued). [`ServiceReader::staleness`] reports exactly how far
-//! behind (in submitted ops) the pinned snapshot is. Because ops are
-//! consumed strictly in submission order and snapshots are cut only at
-//! batch boundaries, every answer a reader can ever observe corresponds to
-//! some *prefix* of the submitted op sequence — the invariant the
-//! snapshot-consistency stress test checks against a DFS oracle.
+//! A writer publishes nothing to readers on its own. Readers see only what
+//! [`ShardedService::flush`](crate::ShardedService::flush) publishes: it
+//! waits until every shard writer has drained, takes each one's latest
+//! snapshot, and swaps them in together as one view stamped with the
+//! prefix of submitted ops it reflects. Every answer a reader can observe
+//! is therefore the truth of *some* prefix of the submission order — the
+//! invariant the snapshot-consistency stress test checks against a DFS
+//! oracle — and writes submitted after the last flush stay invisible.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -85,23 +78,22 @@ pub enum ServiceOp {
     Rebuild,
 }
 
-/// Tuning knobs for [`ClosureService`].
+/// Tuning knobs for a [`ShardedService`](crate::ShardedService)'s shard
+/// writers.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Most ops coalesced into one apply-freeze-publish round. Larger
-    /// batches amortize the freeze over more ops at the cost of staleness.
-    pub batch_max: usize,
     /// Run the O(n + intervals) structural audit on the mutable closure
-    /// after every batch, before publishing. Defaults to on in debug
-    /// builds; the first violation is recorded in [`ServiceStats`] (the
-    /// tainted state is still published — the audit is a tripwire, not a
+    /// after every writer round, before freezing. Defaults to on in debug
+    /// builds; the first violation is reported in
+    /// [`ShardedStats::audit_violation`](crate::ShardedStats::audit_violation)
+    /// (the tainted state is still frozen — the audit is a tripwire, not a
     /// rollback).
     pub audit: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { batch_max: 1024, audit: cfg!(debug_assertions) }
+        ServiceConfig { audit: cfg!(debug_assertions) }
     }
 }
 
@@ -111,54 +103,21 @@ impl ServiceConfig {
         Self::default()
     }
 
-    /// Sets the per-round op coalescing limit (clamped to at least 1).
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Enables or disables the per-batch structural audit.
+    /// Enables or disables the per-round structural audit.
     pub fn audit(mut self, enable: bool) -> Self {
         self.audit = enable;
         self
     }
 }
 
-/// Counters describing a service's progress, all measured in ops except
-/// `publishes`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Ops accepted by [`ClosureService::submit`] so far.
-    pub submitted: u64,
-    /// Ops consumed from the queue (applied or skipped) and covered by a
-    /// published snapshot.
-    pub consumed: u64,
-    /// Consumed ops that mutated the closure.
-    pub applied: u64,
-    /// Consumed ops rejected by the update routines (unknown node, cycle,
-    /// exhausted reserve, ...) and skipped without effect.
-    pub skipped: u64,
-    /// Snapshots published, the initial one included.
-    pub publishes: u64,
-    /// First structural-audit failure observed, if any (see
-    /// [`ServiceConfig::audit`]).
-    pub audit_violation: Option<String>,
-}
-
-impl ServiceStats {
-    /// Ops submitted but not yet covered by a published snapshot.
-    pub fn staleness(&self) -> u64 {
-        self.submitted.saturating_sub(self.consumed)
-    }
-}
-
-/// Error returned by [`ClosureService::submit`] once the service has been
-/// closed: the op was *not* enqueued and will never be applied.
+/// Error returned by [`ShardedService::submit`](crate::ShardedService::submit)
+/// once the service has been closed: the op was *not* enqueued and will
+/// never be applied.
 ///
-/// Every op ever accepted (`Ok(seq)`) is still drained and applied (or
-/// skipped with accounting) before the writer exits — a submission racing
-/// [`ClosureService::close`] is therefore either applied or observably
-/// rejected here, never silently dropped.
+/// Every op ever accepted (`Ok(seq)`) is still drained and applied before
+/// the writers exit — a submission racing
+/// [`ShardedService::close`](crate::ShardedService::close) is therefore
+/// either applied or observably rejected here, never silently dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceClosed;
 
@@ -195,31 +154,42 @@ fn apply(c: &mut CompressedClosure, op: &ServiceOp) -> Result<(), UpdateError> {
     }
 }
 
-/// Freezes the writer's closure into a snapshot stamped with the consumed
-/// prefix. A closure configured with [`crate::ClosureConfig::paged`]
-/// publishes out-of-core snapshots, so the served plane never has to fit
-/// in RAM; an I/O failure falls back to the (bit-identical) resident plane
-/// rather than killing the writer.
-fn freeze_snapshot(c: &CompressedClosure, consumed: u64, version: u64) -> ServiceSnapshot {
+/// Freezes the writer's closure into a snapshot. A closure configured with
+/// [`crate::ClosureConfig::paged`] freezes out-of-core snapshots, so the
+/// served plane never has to fit in RAM; an I/O failure falls back to the
+/// (bit-identical) resident plane rather than killing the writer.
+fn freeze_snapshot(c: &CompressedClosure) -> ServiceSnapshot {
     let plane = Frozen::build(&c.graph, &c.lab, &c.config)
         .unwrap_or_else(|_| Frozen::resident(&c.graph, &c.lab, c.config.hybrid_threshold));
-    ServiceSnapshot { plane, nodes: c.node_count(), applied_seq: consumed, version }
+    ServiceSnapshot { plane, nodes: c.node_count() }
 }
 
-/// One published, immutable view of the closure: a frozen plane — resident,
-/// or paged out-of-core when the closure was configured with
-/// [`crate::ClosureConfig::paged`] — stamped with the prefix of submitted
-/// ops it reflects.
+/// One immutable view of a closure: a frozen plane — resident, or paged
+/// out-of-core when the closure was configured with
+/// [`crate::ClosureConfig::paged`]. A published
+/// [`ShardedView`](crate::ShardedView) holds one per shard.
 ///
 /// Nodes created after the snapshot was cut simply do not exist in it:
-/// probes involving them report unreachable / empty rather than panicking,
-/// which is the honest answer under bounded staleness.
+/// probes involving them report unreachable / empty rather than panicking.
+///
+/// ```
+/// use tc_graph::{DiGraph, NodeId};
+/// use tc_core::serve::ServiceSnapshot;
+/// use tc_core::CompressedClosure;
+///
+/// let g = DiGraph::from_edges([(0, 1), (1, 2)]);
+/// let mut closure = CompressedClosure::build(&g).unwrap();
+/// let snap = ServiceSnapshot::capture(&closure);
+/// closure.add_node_with_parents(&[NodeId(2)]).unwrap();
+/// // The snapshot keeps answering from the state it was cut from.
+/// assert!(snap.reaches(NodeId(0), NodeId(2)));
+/// assert!(!snap.reaches(NodeId(0), NodeId(3)));
+/// assert_eq!(snap.successor_count(NodeId(1)), 2);
+/// ```
 #[derive(Debug)]
 pub struct ServiceSnapshot {
     plane: Frozen,
     nodes: usize,
-    applied_seq: u64,
-    version: u64,
 }
 
 impl ServiceSnapshot {
@@ -232,7 +202,7 @@ impl ServiceSnapshot {
         let plane = closure.frozen.clone().unwrap_or_else(|| {
             Frozen::resident(&closure.graph, &closure.lab, closure.config.hybrid_threshold)
         });
-        ServiceSnapshot { plane, nodes: closure.node_count(), applied_seq: 0, version: 0 }
+        ServiceSnapshot { plane, nodes: closure.node_count() }
     }
 
     /// Whether this snapshot serves its plane out-of-core.
@@ -244,19 +214,6 @@ impl ServiceSnapshot {
     #[inline]
     pub fn node_count(&self) -> usize {
         self.nodes
-    }
-
-    /// Number of submitted ops this snapshot reflects (the consumed
-    /// prefix's length).
-    #[inline]
-    pub fn applied_seq(&self) -> u64 {
-        self.applied_seq
-    }
-
-    /// Publish counter stamped by the writer; the initial snapshot is 1.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Whether `src` reaches `dst` (reflexive). Nodes beyond the snapshot
@@ -330,96 +287,64 @@ impl ServiceSnapshot {
     }
 }
 
-/// Writer-side queue: ops waiting to be applied, the submission counter
-/// they were stamped with, and the shutdown latch.
+/// One shard writer's progress: its latest frozen snapshot and the
+/// counters behind it.
+#[derive(Debug, Clone)]
+pub(crate) struct WriterState {
+    /// Ops consumed from the queue (applied or skipped), all reflected in
+    /// `snapshot`.
+    consumed: u64,
+    /// Consumed ops that mutated the closure.
+    pub(crate) applied: u64,
+    /// Consumed ops the update routines rejected and skipped.
+    pub(crate) skipped: u64,
+    /// First structural-audit failure observed, if any.
+    pub(crate) violation: Option<String>,
+    /// The closure frozen after the last round.
+    pub(crate) snapshot: Arc<ServiceSnapshot>,
+}
+
+/// Writer-side queue: ops waiting to be applied, how many were ever
+/// submitted, and the shutdown latch.
 struct QueueState {
     ops: VecDeque<ServiceOp>,
     submitted: u64,
     closed: bool,
 }
 
-/// Writer-side progress, updated after every publish.
-struct PublishState {
-    consumed: u64,
-    applied: u64,
-    skipped: u64,
-    publishes: u64,
-    violation: Option<String>,
-}
-
 struct Shared {
-    /// Version of the snapshot currently in `slot`; bumped with `Release`
-    /// after the slot is swapped, so a reader whose `Acquire` load sees
-    /// version v finds a snapshot at least that new under the mutex.
-    epoch: AtomicU64,
-    /// Total ops submitted; mirrors `QueueState::submitted` for lock-free
-    /// staleness reads.
-    submitted: AtomicU64,
-    /// The swap cell: current published snapshot. Readers lock it only on
-    /// an epoch change, and only long enough to clone the `Arc`.
-    slot: Mutex<Arc<ServiceSnapshot>>,
     queue: Mutex<QueueState>,
     /// Signals the writer that ops arrived (or shutdown was requested).
     work: Condvar,
-    published: Mutex<PublishState>,
-    /// Signals flushers that `PublishState::consumed` advanced.
-    published_cv: Condvar,
+    state: Mutex<WriterState>,
+    /// Signals flushers that `WriterState::consumed` advanced.
+    drained: Condvar,
 }
 
-/// A concurrent serving layer over a compressed closure: any number of
-/// lock-free snapshot readers, one background writer applying batched §4
-/// updates and republishing frozen planes. See the module docs
-/// for the design.
-///
-/// ```
-/// use tc_graph::{DiGraph, NodeId};
-/// use tc_core::serve::{ClosureService, ServiceConfig, ServiceOp};
-/// use tc_core::CompressedClosure;
-///
-/// let g = DiGraph::from_edges([(0, 1), (1, 2)]);
-/// let closure = CompressedClosure::build(&g).unwrap();
-/// let service = ClosureService::start(closure, ServiceConfig::new());
-///
-/// let mut reader = service.reader();
-/// assert!(reader.reaches(NodeId(0), NodeId(2)));
-///
-/// service.submit(ServiceOp::AddEdge { src: NodeId(2), dst: NodeId(0) }).unwrap(); // cycle: skipped
-/// service.submit(ServiceOp::AddNode { parents: vec![NodeId(2)] }).unwrap();
-/// let stats = service.flush();
-/// assert_eq!((stats.applied, stats.skipped), (1, 1));
-/// assert!(reader.reaches(NodeId(0), NodeId(3)));
-///
-/// let (_, closure) = service.shutdown();
-/// assert_eq!(closure.node_count(), 4);
-/// ```
-pub struct ClosureService {
+/// One shard's writer: a background thread that owns the mutable closure,
+/// drains its op queue in rounds, and freezes a fresh snapshot after each
+/// round for [`ShardedService::flush`](crate::ShardedService::flush) to
+/// publish.
+pub(crate) struct ClosureService {
     shared: Arc<Shared>,
     writer: Option<JoinHandle<CompressedClosure>>,
 }
 
 impl ClosureService {
-    /// Starts serving `closure`. The initial snapshot is frozen
-    /// synchronously, so readers always have something to pin.
-    pub fn start(closure: CompressedClosure, config: ServiceConfig) -> ClosureService {
-        let initial = Arc::new(freeze_snapshot(&closure, 0, 1));
+    /// Starts the writer. The initial snapshot is frozen synchronously, so
+    /// there is always one to publish.
+    pub(crate) fn start(closure: CompressedClosure, config: ServiceConfig) -> ClosureService {
         let shared = Arc::new(Shared {
-            epoch: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            slot: Mutex::new(initial),
-            queue: Mutex::new(QueueState {
-                ops: VecDeque::new(),
-                submitted: 0,
-                closed: false,
-            }),
+            queue: Mutex::new(QueueState { ops: VecDeque::new(), submitted: 0, closed: false }),
             work: Condvar::new(),
-            published: Mutex::new(PublishState {
+            state: Mutex::new(WriterState {
                 consumed: 0,
                 applied: 0,
                 skipped: 0,
-                publishes: 1,
                 violation: None,
+                snapshot: Arc::new(freeze_snapshot(&closure)),
             }),
-            published_cv: Condvar::new(),
+            drained: Condvar::new(),
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -431,110 +356,54 @@ impl ClosureService {
         ClosureService { shared, writer: Some(writer) }
     }
 
-    /// A new reader pinned to the current snapshot. Readers are `Clone`
-    /// and independent; hand one to each querying thread.
-    pub fn reader(&self) -> ServiceReader {
-        let cached = Arc::clone(&self.shared.slot.lock().expect("swap cell poisoned"));
-        let epoch = cached.version;
-        ServiceReader { shared: Arc::clone(&self.shared), cached, epoch }
-    }
-
-    /// Enqueues one op; returns its sequence number (1-based position in
-    /// the submission order). Never blocks on the writer. Once the service
-    /// is [closed](ClosureService::close), returns [`ServiceClosed`]
-    /// instead: an accepted op is always eventually consumed (applied or
-    /// skipped, with exact accounting), a rejected one is observably never
-    /// enqueued — there is no silent-drop window between the two.
-    pub fn submit(&self, op: ServiceOp) -> Result<u64, ServiceClosed> {
-        let seq = {
+    /// Enqueues one op without waiting for the writer. Once the writer is
+    /// [closed](ClosureService::close), returns [`ServiceClosed`] instead:
+    /// an accepted op is always consumed before the writer exits.
+    pub(crate) fn submit(&self, op: ServiceOp) -> Result<(), ServiceClosed> {
+        {
             let mut q = self.shared.queue.lock().expect("queue poisoned");
             if q.closed {
                 return Err(ServiceClosed);
             }
             q.ops.push_back(op);
             q.submitted += 1;
-            self.shared.submitted.store(q.submitted, Ordering::Release);
-            q.submitted
-        };
-        self.shared.work.notify_one();
-        Ok(seq)
-    }
-
-    /// Enqueues a batch of ops under one queue lock; returns the sequence
-    /// number of the last one (0 if `ops` was empty). All-or-nothing under
-    /// a close race: either every op of the batch is accepted or none is.
-    pub fn submit_batch(
-        &self,
-        ops: impl IntoIterator<Item = ServiceOp>,
-    ) -> Result<u64, ServiceClosed> {
-        let seq = {
-            let mut q = self.shared.queue.lock().expect("queue poisoned");
-            if q.closed {
-                return Err(ServiceClosed);
-            }
-            let before = q.ops.len();
-            q.ops.extend(ops);
-            q.submitted += (q.ops.len() - before) as u64;
-            self.shared.submitted.store(q.submitted, Ordering::Release);
-            q.submitted
-        };
-        self.shared.work.notify_one();
-        Ok(seq)
-    }
-
-    /// Closes the submission queue: every later [`ClosureService::submit`]
-    /// returns [`ServiceClosed`], while everything accepted before the
-    /// close is still drained, applied and published. Idempotent, and safe
-    /// to call from any thread — the handle stays usable for `flush`,
-    /// `stats`, readers, and the final [`ClosureService::shutdown`].
-    pub fn close(&self) {
-        {
-            let mut q = self.shared.queue.lock().expect("queue poisoned");
-            q.closed = true;
         }
+        self.shared.work.notify_one();
+        Ok(())
+    }
+
+    /// Closes the queue: later submits fail, everything accepted before is
+    /// still drained. Idempotent.
+    pub(crate) fn close(&self) {
+        self.shared.queue.lock().expect("queue poisoned").closed = true;
         self.shared.work.notify_all();
     }
 
-    /// Blocks until every op submitted so far is covered by a published
-    /// snapshot, then returns the stats at that point.
-    pub fn flush(&self) -> ServiceStats {
-        let target = self.shared.submitted.load(Ordering::Acquire);
-        let mut p = self.shared.published.lock().expect("publish state poisoned");
-        while p.consumed < target {
-            p = self.shared.published_cv.wait(p).expect("publish state poisoned");
+    /// Blocks until every op submitted so far is reflected in the writer's
+    /// snapshot, then returns its state.
+    pub(crate) fn flush(&self) -> WriterState {
+        let target = self.shared.queue.lock().expect("queue poisoned").submitted;
+        let mut st = self.shared.state.lock().expect("writer state poisoned");
+        while st.consumed < target {
+            st = self.shared.drained.wait(st).expect("writer state poisoned");
         }
-        self.stats_locked(&p)
+        st.clone()
     }
 
-    /// Current progress counters (non-blocking).
-    pub fn stats(&self) -> ServiceStats {
-        let p = self.shared.published.lock().expect("publish state poisoned");
-        self.stats_locked(&p)
-    }
-
-    fn stats_locked(&self, p: &PublishState) -> ServiceStats {
-        ServiceStats {
-            submitted: self.shared.submitted.load(Ordering::Acquire),
-            consumed: p.consumed,
-            applied: p.applied,
-            skipped: p.skipped,
-            publishes: p.publishes,
-            audit_violation: p.violation.clone(),
-        }
+    /// The writer's current state (non-blocking).
+    pub(crate) fn state(&self) -> WriterState {
+        self.shared.state.lock().expect("writer state poisoned").clone()
     }
 
     /// Drains the queue, stops the writer, and hands the mutable closure
-    /// back along with the final stats. Outstanding readers keep their
-    /// pinned snapshots and stay fully usable.
-    pub fn shutdown(mut self) -> (ServiceStats, CompressedClosure) {
+    /// back.
+    pub(crate) fn shutdown(mut self) -> CompressedClosure {
         self.close();
-        let closure = self
-            .writer
+        self.writer
             .take()
             .expect("writer joined twice")
             .join()
-            .expect("service writer panicked");
-        (self.stats(), closure)
+            .expect("service writer panicked")
     }
 }
 
@@ -550,90 +419,13 @@ impl Drop for ClosureService {
     }
 }
 
-/// A per-thread query handle: caches the current snapshot `Arc` and
-/// revalidates it with one atomic epoch load per probe. While the epoch is
-/// unchanged — the overwhelmingly common case — probes take zero locks and
-/// allocate nothing beyond their own result.
-pub struct ServiceReader {
-    shared: Arc<Shared>,
-    cached: Arc<ServiceSnapshot>,
-    epoch: u64,
-}
-
-impl Clone for ServiceReader {
-    fn clone(&self) -> Self {
-        ServiceReader {
-            shared: Arc::clone(&self.shared),
-            cached: Arc::clone(&self.cached),
-            epoch: self.epoch,
-        }
-    }
-}
-
-impl ServiceReader {
-    /// Revalidates the cached snapshot (one `Acquire` epoch load; the swap
-    /// cell mutex is taken only when the epoch moved) and returns it.
-    #[inline]
-    pub fn refresh(&mut self) -> &ServiceSnapshot {
-        let current = self.shared.epoch.load(Ordering::Acquire);
-        if current != self.epoch {
-            let snap = Arc::clone(&self.shared.slot.lock().expect("swap cell poisoned"));
-            self.epoch = snap.version;
-            self.cached = snap;
-        }
-        &self.cached
-    }
-
-    /// Pins and returns the freshest published snapshot. The returned
-    /// `Arc` stays valid (and immutable) however far the service moves on.
-    pub fn snapshot(&mut self) -> Arc<ServiceSnapshot> {
-        self.refresh();
-        Arc::clone(&self.cached)
-    }
-
-    /// Whether `src` reaches `dst` on the freshest published snapshot.
-    #[inline]
-    pub fn reaches(&mut self, src: NodeId, dst: NodeId) -> bool {
-        self.refresh().reaches(src, dst)
-    }
-
-    /// Batch reachability on one consistent snapshot (refreshed once for
-    /// the whole batch).
-    pub fn reaches_batch(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<bool> {
-        self.refresh().reaches_batch(pairs)
-    }
-
-    /// Successor set on the freshest published snapshot.
-    pub fn successors(&mut self, node: NodeId) -> Vec<NodeId> {
-        self.refresh().successors(node)
-    }
-
-    /// Predecessor set on the freshest published snapshot.
-    pub fn predecessors(&mut self, node: NodeId) -> Vec<NodeId> {
-        self.refresh().predecessors(node)
-    }
-
-    /// Ops submitted to the service but not reflected in the snapshot this
-    /// reader currently holds — how far behind head the *next* probe may
-    /// answer.
-    pub fn staleness(&self) -> u64 {
-        self.shared
-            .submitted
-            .load(Ordering::Acquire)
-            .saturating_sub(self.cached.applied_seq)
-    }
-}
-
 fn writer_loop(
     shared: Arc<Shared>,
     mut closure: CompressedClosure,
     config: ServiceConfig,
 ) -> CompressedClosure {
-    let mut consumed = 0u64;
-    let mut version = 1u64;
     let mut batch: Vec<ServiceOp> = Vec::new();
     loop {
-        batch.clear();
         {
             let mut q = shared.queue.lock().expect("queue poisoned");
             while q.ops.is_empty() && !q.closed {
@@ -642,46 +434,34 @@ fn writer_loop(
             if q.ops.is_empty() {
                 break; // closed and drained
             }
-            let take = q.ops.len().min(config.batch_max.max(1));
-            batch.extend(q.ops.drain(..take));
+            batch.extend(q.ops.drain(..));
         }
-        let mut applied = 0u64;
-        let mut skipped = 0u64;
-        for op in &batch {
-            // A rejected op (unknown node, cycle, exhausted reserve, ...)
-            // is counted and skipped; the consumed prefix stays a pure
-            // function of the submission order either way.
-            match apply(&mut closure, op) {
+        let (mut applied, mut skipped) = (0u64, 0u64);
+        // A rejected op (unknown node, cycle, exhausted reserve, ...) is
+        // counted and skipped; the state stays a pure function of the
+        // submission order either way.
+        for op in batch.drain(..) {
+            match apply(&mut closure, &op) {
                 Ok(()) => applied += 1,
                 Err(_) => skipped += 1,
             }
         }
-        consumed += batch.len() as u64;
         let violation = if config.audit { closure.audit().err() } else { None };
-        version += 1;
-        let snap = Arc::new(freeze_snapshot(&closure, consumed, version));
+        let snapshot = Arc::new(freeze_snapshot(&closure));
         let retired = {
-            let mut slot = shared.slot.lock().expect("swap cell poisoned");
-            std::mem::replace(&mut *slot, snap)
-        };
-        // Publish: the Release store pairs with readers' Acquire loads, so
-        // any reader that observes the new version also observes the swap
-        // above when it takes the cell mutex.
-        shared.epoch.store(version, Ordering::Release);
-        // The retired snapshot is freed outside the swap-cell lock, unless
-        // a reader still pins it.
-        drop(retired);
-        {
-            let mut p = shared.published.lock().expect("publish state poisoned");
-            p.consumed = consumed;
-            p.applied += applied;
-            p.skipped += skipped;
-            p.publishes = version;
-            if p.violation.is_none() {
-                p.violation = violation;
+            let mut st = shared.state.lock().expect("writer state poisoned");
+            st.consumed += applied + skipped;
+            st.applied += applied;
+            st.skipped += skipped;
+            if st.violation.is_none() {
+                st.violation = violation;
             }
-        }
-        shared.published_cv.notify_all();
+            std::mem::replace(&mut st.snapshot, snapshot)
+        };
+        // The retired snapshot is freed outside the lock, unless a
+        // published view still holds it.
+        drop(retired);
+        shared.drained.notify_all();
     }
     closure
 }
@@ -689,7 +469,9 @@ fn writer_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{ShardedClosure, ShardedService};
     use crate::ClosureConfig;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use tc_graph::{generators, DiGraph};
 
     fn dag(nodes: usize, seed: u64) -> DiGraph {
@@ -700,31 +482,42 @@ mod tests {
         })
     }
 
+    /// An audited service over `g` with `shards` shards built from `config`.
+    fn start(config: ClosureConfig, g: &DiGraph, shards: usize) -> ShardedService {
+        let sc = ShardedClosure::build(config, g, shards).unwrap();
+        ShardedService::start(sc, ServiceConfig::new().audit(true))
+    }
+
+    /// Composed sets come back ascending by id; the flat closure's
+    /// successors come back in postorder.
+    fn sorted(mut v: Vec<NodeId>) -> Vec<NodeId> {
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn snapshot_answers_match_the_closure() {
         let g = dag(60, 3);
-        let closure = CompressedClosure::build(&g).unwrap();
-        let oracle = closure.clone();
-        let service = ClosureService::start(closure, ServiceConfig::new().audit(true));
+        let oracle = CompressedClosure::build(&g).unwrap();
+        let service = start(ClosureConfig::new(), &g, 1);
         let mut reader = service.reader();
         for u in g.nodes() {
-            assert_eq!(reader.successors(u), oracle.successors(u), "successors({u:?})");
+            assert_eq!(reader.successors(u), sorted(oracle.successors(u)), "successors({u:?})");
             assert_eq!(reader.predecessors(u), oracle.predecessors(u), "predecessors({u:?})");
             for v in g.nodes().step_by(7) {
                 assert_eq!(reader.reaches(u, v), oracle.reaches(u, v), "reaches({u:?},{v:?})");
             }
         }
-        let (stats, closure) = service.shutdown();
+        let (stats, sc) = service.shutdown();
         assert_eq!(stats.publishes, 1, "no writes, no republishing");
         assert_eq!(stats.audit_violation, None);
-        closure.verify().unwrap();
+        sc.verify().unwrap();
     }
 
     #[test]
     fn writes_apply_in_order_and_publish() {
         let g = DiGraph::from_edges([(0, 1), (1, 2)]);
-        let closure = CompressedClosure::build(&g).unwrap();
-        let service = ClosureService::start(closure, ServiceConfig::new().audit(true));
+        let service = start(ClosureConfig::new(), &g, 1);
         let mut reader = service.reader();
         assert!(!reader.reaches(NodeId(0), NodeId(3)));
 
@@ -733,35 +526,35 @@ mod tests {
         let s3 = service.submit(ServiceOp::RemoveEdge { src: NodeId(0), dst: NodeId(9) }).unwrap(); // no such
         assert_eq!((s1, s2, s3), (1, 2, 3));
         let stats = service.flush();
-        assert_eq!(stats.consumed, 3);
-        assert_eq!(stats.applied, 1);
-        assert_eq!(stats.skipped, 2);
-        assert_eq!(stats.staleness(), 0);
+        assert_eq!((stats.submitted, stats.rejected, stats.routed), (3, 2, 1));
+        assert_eq!((stats.applied, stats.skipped), (1, 0));
         assert_eq!(stats.audit_violation, None);
 
         assert!(reader.reaches(NodeId(0), NodeId(3)));
-        let snap = reader.snapshot();
-        assert_eq!(snap.applied_seq(), 3);
-        assert_eq!(snap.node_count(), 4);
+        let view = reader.snapshot();
+        assert_eq!(view.applied_seq(), 3);
+        assert_eq!(view.node_count(), 4);
         assert_eq!(reader.staleness(), 0);
 
-        let (_, closure) = service.shutdown();
-        closure.verify().unwrap();
-        assert_eq!(closure.node_count(), 4);
+        let (_, sc) = service.shutdown();
+        sc.verify().unwrap();
+        assert_eq!(sc.node_count(), 4);
     }
 
     #[test]
     fn submit_racing_close_is_applied_or_rejected_never_lost() {
+        // The shard writer on its own: everything it accepted is drained
+        // before it exits, everything it refused never touched the queue.
         let g = DiGraph::from_edges([(0, 1)]);
         let closure = CompressedClosure::build(&g).unwrap();
-        let service = ClosureService::start(closure, ServiceConfig::new().audit(true));
+        let writer = ClosureService::start(closure, ServiceConfig::new().audit(true));
         let accepted = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..200 {
-                        match service.submit(ServiceOp::AddNode { parents: vec![NodeId(1)] }) {
-                            Ok(_) => {
+                        match writer.submit(ServiceOp::AddNode { parents: vec![NodeId(1)] }) {
+                            Ok(()) => {
                                 accepted.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(ServiceClosed) => break,
@@ -771,61 +564,57 @@ mod tests {
                 });
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
-            service.close();
+            writer.close();
         });
         let ok = accepted.load(Ordering::Relaxed);
-        service.close(); // idempotent
-        assert_eq!(service.submit(ServiceOp::Relabel), Err(ServiceClosed));
-        assert_eq!(service.submit_batch([ServiceOp::Relabel]), Err(ServiceClosed));
-        let (stats, closure) = service.shutdown();
-        // Exact accounting: every Ok(seq) was enqueued and drained; every
-        // Err(ServiceClosed) never touched the queue. Nothing in between.
-        assert_eq!(stats.submitted, ok, "submitted must equal the Ok count");
-        assert_eq!(stats.consumed, stats.submitted, "accepted ops are never dropped");
-        assert_eq!(stats.applied + stats.skipped, stats.consumed);
-        assert_eq!(stats.staleness(), 0);
-        assert_eq!(stats.audit_violation, None);
+        writer.close(); // idempotent
+        assert_eq!(writer.submit(ServiceOp::Relabel), Err(ServiceClosed));
+        let state = writer.flush();
+        assert_eq!(state.consumed, ok, "accepted ops are never dropped");
+        assert_eq!((state.applied, state.skipped), (ok, 0));
+        assert_eq!(state.violation, None);
+        assert_eq!(state.snapshot.node_count() as u64, 2 + ok);
+        let closure = writer.shutdown();
         closure.verify().unwrap();
-        assert_eq!(closure.node_count() as u64, 2 + stats.applied);
+        assert_eq!(closure.node_count() as u64, 2 + ok);
     }
 
     #[test]
     fn pinned_snapshots_survive_later_writes() {
         let g = DiGraph::from_edges([(0, 1)]);
-        let service =
-            CompressedClosure::build(&g).map(|c| ClosureService::start(c, ServiceConfig::new())).unwrap();
+        let service = start(ClosureConfig::new(), &g, 1);
         let mut reader = service.reader();
         let old = reader.snapshot();
         for _ in 0..10 {
             service.submit(ServiceOp::AddNode { parents: vec![NodeId(0)] }).unwrap();
         }
         service.flush();
-        // The pinned snapshot still answers from its original prefix.
-        assert_eq!(old.node_count(), 2);
+        // The pinned view still answers from its original prefix.
+        assert_eq!((old.applied_seq(), old.node_count()), (0, 2));
         assert!(!old.reaches(NodeId(0), NodeId(5)));
         // A refreshed probe sees the new nodes.
         assert!(reader.reaches(NodeId(0), NodeId(5)));
-        assert!(reader.snapshot().node_count() == 12);
+        assert_eq!(reader.snapshot().node_count(), 12);
     }
 
     #[test]
     fn refine_and_structural_ops_flow_through() {
         let g = DiGraph::from_edges([(0, 2), (1, 2), (2, 3)]);
-        let closure = ClosureConfig::new().gap(32).reserve(4).build(&g).unwrap();
-        let service = ClosureService::start(closure, ServiceConfig::new().audit(true));
+        let service = start(ClosureConfig::new().gap(32).reserve(4), &g, 1);
         service.submit(ServiceOp::Refine { child: NodeId(2) }).unwrap();
         service.submit(ServiceOp::Relabel).unwrap();
         service.submit(ServiceOp::RemoveNode { node: NodeId(0) }).unwrap();
         service.submit(ServiceOp::Rebuild).unwrap();
         let stats = service.flush();
-        assert_eq!(stats.applied, 4);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!((stats.applied, stats.skipped), (stats.routed, 0));
         assert_eq!(stats.audit_violation, None);
         let mut reader = service.reader();
         // The refinement node (id 4) still reaches 2 and 3 after all that.
         assert!(reader.reaches(NodeId(4), NodeId(3)));
         assert!(!reader.reaches(NodeId(0), NodeId(2)), "node 0 removed");
-        let (_, closure) = service.shutdown();
-        closure.verify().unwrap();
+        let (_, sc) = service.shutdown();
+        sc.verify().unwrap();
     }
 
     #[test]
@@ -833,13 +622,13 @@ mod tests {
         let g = dag(60, 5);
         // Pool of 2 frames: almost every probe faults pages in, so the
         // paged path is genuinely exercised, not just resident-cached.
-        let closure = ClosureConfig::new().paged(2).build(&g).unwrap();
+        let service = start(ClosureConfig::new().paged(2), &g, 2);
         let oracle = CompressedClosure::build(&g).unwrap();
-        let service = ClosureService::start(closure, ServiceConfig::new().audit(true));
         let mut reader = service.reader();
-        assert!(reader.snapshot().is_paged(), "initial snapshot must be paged");
+        let paged = |view: &crate::ShardedView| view.shards.iter().all(|s| s.is_paged());
+        assert!(paged(&reader.snapshot()), "initial shard snapshots must be paged");
         for u in g.nodes() {
-            assert_eq!(reader.successors(u), oracle.successors(u), "successors({u:?})");
+            assert_eq!(reader.successors(u), sorted(oracle.successors(u)), "successors({u:?})");
             assert_eq!(reader.predecessors(u), oracle.predecessors(u), "predecessors({u:?})");
             for v in g.nodes().step_by(9) {
                 assert_eq!(reader.reaches(u, v), oracle.reaches(u, v), "reaches({u:?},{v:?})");
@@ -850,11 +639,11 @@ mod tests {
         let stats = service.flush();
         assert_eq!((stats.applied, stats.skipped), (1, 0));
         assert_eq!(stats.audit_violation, None);
-        let snap = reader.snapshot();
-        assert!(snap.is_paged(), "republished snapshot must stay paged");
-        assert!(snap.reaches(NodeId(0), NodeId(60)));
-        let (_, closure) = service.shutdown();
-        closure.verify().unwrap();
+        let view = reader.snapshot();
+        assert!(paged(&view), "republished shard snapshots must stay paged");
+        assert!(view.reaches(NodeId(0), NodeId(60)));
+        let (_, sc) = service.shutdown();
+        sc.verify().unwrap();
     }
 
     #[test]
@@ -872,45 +661,45 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_writer_stay_consistent() {
-        // A smoke-scale version of the full stress test in tests/: readers
-        // hammer reflexive probes (true on every prefix) while the writer
-        // grows a chain, then everything converges after flush.
+        // A smoke-scale version of the full stress test in tests/: the
+        // writer grows a chain, flushing every 4 ops, while readers check
+        // each pinned view against the prefix it is stamped with.
         let g = DiGraph::from_edges([(0, 1)]);
-        let closure = CompressedClosure::build(&g).unwrap();
-        let service = ClosureService::start(closure, ServiceConfig::new().batch_max(4).audit(true));
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let service = start(ClosureConfig::new(), &g, 1);
+        let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let mut reader = service.reader();
                 let stop = &stop;
                 scope.spawn(move || {
-                    let mut probes = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let snap = reader.snapshot();
-                        let n = snap.node_count() as u32;
+                        let view = reader.snapshot();
+                        let n = view.node_count() as u32;
+                        assert_eq!(u64::from(n), 2 + view.applied_seq(), "one node per op");
                         for v in 0..n.min(16) {
-                            assert!(snap.reaches(NodeId(v), NodeId(v)), "reflexivity");
+                            assert!(view.reaches(NodeId(v), NodeId(v)), "reflexivity");
                         }
-                        assert!(snap.reaches(NodeId(0), NodeId(1)), "never deleted");
-                        probes += 1;
+                        assert!(view.reaches(NodeId(0), NodeId(n - 1)), "chain tip reachable");
                     }
-                    probes
                 });
             }
             let mut tip = NodeId(1);
             for i in 0..64 {
                 let seq = service.submit(ServiceOp::AddNode { parents: vec![tip] }).unwrap();
                 tip = NodeId(2 + i);
-                assert_eq!(seq, (i + 1) as u64);
+                assert_eq!(seq, u64::from(i + 1));
+                if seq % 4 == 0 {
+                    service.flush();
+                }
             }
             let stats = service.flush();
-            assert_eq!(stats.consumed, 64);
+            assert_eq!((stats.submitted, stats.applied), (64, 64));
             assert_eq!(stats.audit_violation, None);
             stop.store(true, Ordering::Relaxed);
         });
         let mut reader = service.reader();
         assert!(reader.reaches(NodeId(0), NodeId(65)));
-        let (_, closure) = service.shutdown();
-        closure.verify().unwrap();
+        let (_, sc) = service.shutdown();
+        sc.verify().unwrap();
     }
 }

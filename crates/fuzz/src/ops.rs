@@ -93,7 +93,8 @@ pub enum Op {
     /// `ServiceSnapshot::capture` — pins the serving layer's published view
     /// of the current state (plus a mirror copy of the relation for the
     /// oracle); it stays pinned while the trace keeps mutating, exactly like
-    /// a [`tc_core::ServiceReader`] holding an old snapshot. Never skipped.
+    /// a [`tc_core::ShardedView`] a reader pinned before later flushes.
+    /// Never skipped.
     ServicePublish,
     /// Replays queries against the pinned published view and checks them
     /// against a DFS closure of the relation *as it was at publish time*

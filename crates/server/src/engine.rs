@@ -12,10 +12,11 @@
 //!
 //! A background *flusher* thread bounds staleness: whenever writes have
 //! been admitted since the last publish, it drains the writers and
-//! republishes the routing snapshot every `flush_interval`. Readers
-//! therefore serve some prefix of the accepted write sequence, at most one
-//! flush interval old — the staleness model measured in EXPERIMENTS.md X6,
-//! now exposed over the wire.
+//! publishes a new view every `flush_interval`. Readers answer from the
+//! view of the last flush — exactly the accepted writes up to that flush,
+//! across all shards, and at most one flush interval old. The `stats`
+//! verb's `staleness` counts the writes accepted since the connection's
+//! pinned view.
 //!
 //! The KB verbs (`define-rule` / `assert` / `retract` / `ask`) drive a
 //! [`tc_kb::KnowledgeBase`] behind a mutex. Every IS-A arc the rule engine
@@ -274,9 +275,14 @@ impl Engine {
                 match self.service.submit_with_outcome(ServiceOp::AddNode { parents: pids }) {
                     Err(_) => ProtoError::Closed.line(),
                     Ok((_, SubmitOutcome::Routed { new_node: Some(id) })) => {
-                        dict.bind(id, key).expect("fresh id gets a fresh key");
                         self.mark_dirty();
-                        "ok added".to_owned()
+                        // A dictionary handed to `Engine::start` may already
+                        // name this id; the node exists either way, so the
+                        // request fails without a panic under the guard.
+                        match dict.bind(id, key) {
+                            Ok(()) => "ok added".to_owned(),
+                            Err(e) => format!("err internal node {} not bound: {e}", id.0),
+                        }
                     }
                     Ok(_) => "ok rejected".to_owned(),
                 }
@@ -350,8 +356,10 @@ impl Engine {
                             st.node_of.insert(id, nid);
                             wrote = true;
                             let mut dict = self.dict.write().expect("dict poisoned");
+                            // Best effort: a name that is taken, or an id the
+                            // dictionary already names, stays unbound.
                             if valid_key(&name) && dict.resolve(&name).is_none() {
-                                dict.bind(nid, &name).expect("fresh id gets a fresh key");
+                                let _ = dict.bind(nid, &name);
                             }
                         }
                         Ok(_) => {
@@ -593,6 +601,22 @@ mod tests {
         assert_eq!(e.handle(&mut r, "assert isa a b"), "ok noop");
         e.close();
         assert!(e.handle(&mut r, "assert isa c d").starts_with("err closed"));
+    }
+
+    #[test]
+    fn failed_key_bind_answers_err_and_keeps_the_dictionary_usable() {
+        // Live slots past the closure's node count: the next new node gets
+        // id 3, which the dictionary already names.
+        let g = DiGraph::from_edges([(0, 1), (1, 2)]);
+        let sc = ShardedClosure::build(ClosureConfig::new(), &g, 1).unwrap();
+        let e = Engine::start(sc, Dict::with_default_keys(5), EngineConfig::default());
+        let mut r = e.reader();
+        assert!(e.handle(&mut r, "add-node x n0").starts_with("err internal"));
+        assert_eq!(e.handle(&mut r, "reaches n0 n2"), "ok true");
+        let answer = e.handle(&mut r, "add-node y n2");
+        assert_eq!(answer, "err internal node 4 not bound: node already has a key");
+        assert_eq!(e.handle(&mut r, "reaches n1 n2"), "ok true");
+        e.close();
     }
 
     #[test]

@@ -1,29 +1,34 @@
-//! Snapshot-consistency stress test for the concurrent serving layer.
+//! Snapshot-consistency stress test for the sharded serving layer.
 //!
-//! For each seed, a tc-fuzz-generated op trace is replayed through a
-//! [`ClosureService`] while reader threads concurrently pin snapshots and
-//! record the answers they observe. The service promises *prefix
-//! consistency*: every published snapshot corresponds to the state after
-//! applying exactly the first `applied_seq` submitted ops (with the
-//! service's deterministic skip-on-error rules). After the run, every
-//! recorded observation is checked against a DFS oracle of the relation at
-//! that exact prefix — any answer that matches no prefix is a violation.
+//! For each seed, at 1 and at 2 shards, a tc-fuzz-generated op trace is
+//! submitted to a [`ShardedService`] in 5-op chunks with a flush after
+//! each, while reader threads concurrently pin views and record the
+//! answers they observe. The service promises that every published view is
+//! *one global prefix*: a view stamped `applied_seq = k` answers exactly as
+//! the relation after the first `k` submitted ops (front-end rejections
+//! count as no-ops), on every shard at once. After the run, every recorded
+//! observation is checked against a DFS oracle of the relation at exactly
+//! that prefix — any answer that matches no prefix, or a composed answer
+//! mixing two shards' prefixes, is a violation.
 //!
-//! The per-batch structural audit is on throughout ([`ServiceConfig::audit`]);
-//! a single audit violation across all seeds fails the test.
+//! The per-round structural audit is on throughout
+//! ([`ServiceConfig::audit`]); a single audit violation fails the test.
 //!
 //! Reader count: `TC_SERVE_READERS`, else `RUST_TEST_THREADS`, else 4 —
 //! CI runs this with elevated thread counts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use tc_core::serve::{ClosureService, ServiceConfig, ServiceOp, ServiceSnapshot};
-use tc_core::{ClosureConfig, CompressedClosure};
+use tc_core::serve::{ServiceConfig, ServiceOp};
+use tc_core::{ClosureConfig, CompressedClosure, ShardedClosure, ShardedService, ShardedView};
+use tc_core::{SubmitOutcome, UpdateError};
 use tc_fuzz::{generate, GenConfig, Op};
 use tc_graph::{traverse, DiGraph, NodeId};
 
 const SEEDS: u64 = 8;
 const OPS_PER_SEED: usize = 240;
+/// Ops submitted between two flushes.
+const CHUNK: usize = 5;
 
 fn reader_threads() -> usize {
     for var in ["TC_SERVE_READERS", "RUST_TEST_THREADS"] {
@@ -59,36 +64,45 @@ fn to_service(op: &Op) -> Option<ServiceOp> {
     }
 }
 
-/// Replays one op on the oracle closure with exactly the service writer's
-/// semantics: rejected ops are skipped, `Refine` reads the predecessor
-/// list at apply time.
-fn replay(oracle: &mut CompressedClosure, op: &ServiceOp) {
-    let _ = match op {
-        ServiceOp::AddNode { parents } => oracle.add_node_with_parents(parents).map(|_| ()),
-        ServiceOp::AddEdge { src, dst } => oracle.add_edge(*src, *dst).map(|_| ()),
-        ServiceOp::RemoveEdge { src, dst } => oracle.remove_edge(*src, *dst),
-        ServiceOp::RemoveNode { node } => oracle.remove_node(*node),
+/// Replays one op on the oracle closure with exactly the front end's
+/// semantics and returns the verdict the front end must have given:
+/// rejected ops change nothing, and `Refine` is the generic insert (a new
+/// node under the child's current parents plus an arc into the child).
+fn replay(oracle: &mut CompressedClosure, op: &ServiceOp) -> SubmitOutcome {
+    let verdict = |r: Result<Option<NodeId>, UpdateError>| match r {
+        Ok(new_node) => SubmitOutcome::Routed { new_node },
+        Err(_) => SubmitOutcome::Rejected,
+    };
+    match op {
+        ServiceOp::AddNode { parents } => verdict(oracle.add_node_with_parents(parents).map(Some)),
+        ServiceOp::AddEdge { src, dst } => match oracle.add_edge(*src, *dst) {
+            Ok(false) => SubmitOutcome::Noop,
+            r => verdict(r.map(|_| None)),
+        },
+        ServiceOp::RemoveEdge { src, dst } => verdict(oracle.remove_edge(*src, *dst).map(|_| None)),
+        ServiceOp::RemoveNode { node } => verdict(oracle.remove_node(*node).map(|_| None)),
         ServiceOp::Refine { child } => {
             if child.index() >= oracle.node_count() {
-                Ok(())
-            } else {
-                let parents = oracle.graph().predecessors(*child).to_vec();
-                oracle.refine_insert(*child, &parents).map(|_| ())
+                return SubmitOutcome::Rejected;
             }
+            let parents = oracle.graph().predecessors(*child).to_vec();
+            let z = oracle.add_node_with_parents(&parents).expect("fresh node under live parents");
+            oracle.add_edge(z, *child).expect("a fresh node cannot close a cycle");
+            SubmitOutcome::Routed { new_node: Some(z) }
         }
         ServiceOp::Relabel => {
             oracle.relabel();
-            Ok(())
+            SubmitOutcome::Routed { new_node: None }
         }
         ServiceOp::Rebuild => {
             oracle.rebuild();
-            Ok(())
+            SubmitOutcome::Routed { new_node: None }
         }
-    };
+    }
 }
 
-/// One recorded reader observation: the prefix the snapshot claimed to
-/// reflect plus the answers read off it.
+/// One recorded reader observation: the prefix the view is stamped with
+/// plus the answers read off it.
 struct Observation {
     applied_seq: u64,
     nodes: usize,
@@ -100,7 +114,7 @@ struct Observation {
     predecessor_sets: Vec<(u32, Vec<u32>)>,
 }
 
-fn observe(snap: &ServiceSnapshot, salt: u64) -> Observation {
+fn observe(snap: &ShardedView, salt: u64) -> Observation {
     let n = snap.node_count();
     let mut probes = Vec::new();
     let mut successor_sets = Vec::new();
@@ -114,8 +128,7 @@ fn observe(snap: &ServiceSnapshot, salt: u64) -> Observation {
         }
         for k in 0..3u64 {
             let v = (((k + salt).wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 32) as usize % n) as u32;
-            let mut succ: Vec<u32> = snap.successors(NodeId(v)).iter().map(|u| u.0).collect();
-            succ.sort_unstable();
+            let succ: Vec<u32> = snap.successors(NodeId(v)).iter().map(|u| u.0).collect();
             successor_sets.push((v, succ));
             let preds: Vec<u32> = snap.predecessors(NodeId(v)).iter().map(|u| u.0).collect();
             predecessor_sets.push((v, preds));
@@ -131,9 +144,10 @@ fn observe(snap: &ServiceSnapshot, salt: u64) -> Observation {
 }
 
 fn check_observations(
-    seed: u64,
+    what: &str,
     config: ClosureConfig,
     ops: &[ServiceOp],
+    outcomes: &[SubmitOutcome],
     mut observations: Vec<Observation>,
 ) {
     observations.sort_by_key(|o| o.applied_seq);
@@ -145,11 +159,20 @@ fn check_observations(
         let prefix = obs.applied_seq as usize;
         assert!(
             prefix <= ops.len(),
-            "seed {seed}: snapshot claims {prefix} ops of a {}-op submission",
+            "{what}: view claims {prefix} ops of a {}-op submission",
             ops.len()
         );
+        assert!(
+            prefix % CHUNK == 0 || prefix == ops.len(),
+            "{what}: view stamped {prefix}, but views are published only at flushes"
+        );
         while replayed < prefix {
-            replay(&mut oracle, &ops[replayed]);
+            let want = replay(&mut oracle, &ops[replayed]);
+            assert_eq!(
+                outcomes[replayed], want,
+                "{what}: front-end verdict for op {replayed} ({:?})",
+                ops[replayed]
+            );
             replayed += 1;
         }
         if rows_at != obs.applied_seq {
@@ -160,20 +183,20 @@ fn check_observations(
         assert_eq!(
             obs.nodes,
             oracle.node_count(),
-            "seed {seed} prefix {prefix}: snapshot node count diverges from the replayed prefix"
+            "{what} prefix {prefix}: view node count diverges from the replayed prefix"
         );
         for &(s, d, got) in &obs.probes {
             let want = rows[s as usize].contains(d as usize);
             assert_eq!(
                 got, want,
-                "seed {seed} prefix {prefix}: observed reaches({s},{d}) = {got}, oracle says {want}"
+                "{what} prefix {prefix}: observed reaches({s},{d}) = {got}, oracle says {want}"
             );
         }
         for (v, got) in &obs.successor_sets {
             let want: Vec<u32> = rows[*v as usize].iter().map(|u| u as u32).collect();
             assert_eq!(
                 got, &want,
-                "seed {seed} prefix {prefix}: observed successors({v}) diverge"
+                "{what} prefix {prefix}: observed successors({v}) diverge"
             );
         }
         for (v, got) in &obs.predecessor_sets {
@@ -182,13 +205,14 @@ fn check_observations(
                 .collect();
             assert_eq!(
                 got, &want,
-                "seed {seed} prefix {prefix}: observed predecessors({v}) diverge"
+                "{what} prefix {prefix}: observed predecessors({v}) diverge"
             );
         }
     }
 }
 
-fn stress_one_seed(seed: u64, readers: usize) {
+fn stress_one_seed(seed: u64, shards: usize, readers: usize) {
+    let what = format!("seed {seed} at {shards} shard(s)");
     let fuzz_cfg = GenConfig {
         ops: OPS_PER_SEED,
         seed,
@@ -200,11 +224,13 @@ fn stress_one_seed(seed: u64, readers: usize) {
     };
     let ops: Vec<ServiceOp> = generate(&fuzz_cfg).ops.iter().filter_map(to_service).collect();
     let config = ClosureConfig::new().gap(64).reserve(4);
-    let closure = config.build(&DiGraph::new()).expect("empty graph is acyclic");
-    // Small batches force many publish boundaries per trace.
-    let service = ClosureService::start(closure, ServiceConfig::new().batch_max(7).audit(true));
+    // From the empty graph, parentless nodes spread over the shards and
+    // later arcs between them cross shards.
+    let sharded = ShardedClosure::build(config, &DiGraph::new(), shards).expect("empty graph");
+    let service = ShardedService::start(sharded, ServiceConfig::new().audit(true));
 
     let done = AtomicBool::new(false);
+    let mut outcomes = Vec::with_capacity(ops.len());
     let observations = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..readers)
             .map(|r| {
@@ -214,8 +240,7 @@ fn stress_one_seed(seed: u64, readers: usize) {
                     let mut obs = Vec::new();
                     let mut salt = (r as u64) << 32;
                     while !done.load(Ordering::Relaxed) {
-                        let snap = reader.snapshot();
-                        obs.push(observe(&snap, salt));
+                        obs.push(observe(&reader.snapshot(), salt));
                         salt += 1;
                         std::thread::yield_now();
                     }
@@ -226,48 +251,47 @@ fn stress_one_seed(seed: u64, readers: usize) {
             })
             .collect();
 
-        // Feed the trace in dribbles so readers see many distinct prefixes.
-        for chunk in ops.chunks(5) {
-            service.submit_batch(chunk.to_vec()).expect("service closed mid-stress");
+        // Feed the trace in chunks so readers see many distinct prefixes.
+        for chunk in ops.chunks(CHUNK) {
+            for op in chunk {
+                let (_, outcome) =
+                    service.submit_with_outcome(op.clone()).expect("service closed mid-stress");
+                outcomes.push(outcome);
+            }
+            service.flush();
             std::thread::yield_now();
         }
         let stats = service.flush();
         done.store(true, Ordering::Relaxed);
-        assert_eq!(
-            stats.consumed,
-            ops.len() as u64,
-            "seed {seed}: writer must consume the whole submission"
-        );
-        assert_eq!(
-            stats.audit_violation, None,
-            "seed {seed}: structural audit failed mid-serve"
-        );
+        assert_eq!(stats.submitted, ops.len() as u64, "{what}: front end saw every op");
+        assert_eq!(stats.skipped, 0, "{what}: shard writers must never skip");
+        assert_eq!(stats.audit_violation, None, "{what}: structural audit failed mid-serve");
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("reader panicked"))
             .collect::<Vec<Observation>>()
     });
 
-    let (stats, closure) = service.shutdown();
-    assert_eq!(stats.applied + stats.skipped, stats.consumed);
-    closure.verify().expect("final closure verifies");
+    let (stats, sc) = service.shutdown();
+    assert_eq!(stats.applied, stats.routed, "{what}: routed ops are never dropped");
+    sc.audit().expect("final sharded closure audits");
+    sc.verify().expect("final sharded closure verifies");
 
     // Sanity: readers must have caught more than just the initial and final
-    // snapshots, or the test is not exercising concurrency at all.
+    // views, or the test is not exercising concurrency at all.
     let distinct: std::collections::BTreeSet<u64> =
         observations.iter().map(|o| o.applied_seq).collect();
-    assert!(
-        distinct.len() >= 2,
-        "seed {seed}: readers observed only {distinct:?} prefixes"
-    );
+    assert!(distinct.len() >= 2, "{what}: readers observed only {distinct:?} prefixes");
 
-    check_observations(seed, config, &ops, observations);
+    check_observations(&what, config, &ops, &outcomes, observations);
 }
 
 #[test]
 fn snapshot_readers_only_ever_see_submission_prefixes() {
     let readers = reader_threads();
-    for seed in 0..SEEDS {
-        stress_one_seed(seed, readers);
+    for shards in [1, 2] {
+        for seed in 0..SEEDS {
+            stress_one_seed(seed, shards, readers);
+        }
     }
 }
