@@ -311,11 +311,12 @@ fn serve_builds_shards_with_the_loaded_closure_config() {
         }
         before.push(line);
     };
+    // One pipelined write; the answers come back in request order.
     let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    conn.write_all(b"shutdown\n").unwrap();
-    let mut reply = String::new();
-    BufReader::new(&conn).read_line(&mut reply).unwrap();
-    assert_eq!(reply.trim(), "ok bye");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    conn.write_all(b"ping\nreaches n0 n0\nshutdown\n").unwrap();
+    let replies: Vec<String> = BufReader::new(&conn).lines().take(3).map(Result::unwrap).collect();
+    assert_eq!(replies, ["ok pong", "ok true", "ok bye"]);
     assert!(child.wait().unwrap().success());
     let config = before.iter().find(|l| l.starts_with("shard config"));
     let config = config.map_or("", String::as_str);

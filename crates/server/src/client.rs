@@ -3,6 +3,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// One connection speaking the line protocol.
 pub struct Client {
@@ -57,6 +58,11 @@ impl Client {
             resp.pop();
         }
         Ok(resp)
+    }
+
+    /// Bounds how long a read waits for an answer (`None` waits forever).
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.writer.set_read_timeout(timeout)
     }
 
     /// Half-closes the write side, signalling EOF to the server while the

@@ -1,10 +1,12 @@
 //! Integration tests for the network serving front end: malformed-input
-//! handling on real sockets, and multi-client network answers checked
-//! against the in-process snapshot reader under churn.
+//! handling on real sockets, pipelined bursts, and multi-client network
+//! answers checked against the in-process snapshot reader under churn.
+
+use std::time::Duration;
 
 use tc_core::{ClosureConfig, ShardedClosure};
 use tc_graph::{generators, NodeId};
-use tc_server::{Client, Dict, Engine, EngineConfig, Server, ServerConfig};
+use tc_server::{Client, Dict, Engine, EngineConfig, ProtoError, Server, ServerConfig, MAX_LINE};
 
 fn start_server(nodes: usize, seed: u64, shards: usize) -> Server {
     let g = generators::random_dag(generators::RandomDagConfig {
@@ -51,6 +53,95 @@ fn malformed_requests_get_error_responses_not_disconnects() {
     assert_eq!(server.caught_panics(), 0, "no handler panicked");
     let stats = server.engine().stats();
     assert_eq!(stats.submitted, 0, "malformed requests never reach the writers");
+    server.stop().expect("accept loop panicked");
+}
+
+/// `reaches n0 n0` padded with spaces to `len` bytes, LF included.
+fn padded_reaches(len: usize) -> Vec<u8> {
+    let mut line = b"reaches n0 n0".to_vec();
+    line.resize(len - 1, b' ');
+    line.push(b'\n');
+    line
+}
+
+#[test]
+fn line_limit_counts_the_terminator() {
+    let server = start_server(4, 1, 1);
+    let mut c = Client::connect(&server.addr().to_string()).unwrap();
+    c.send_raw(&padded_reaches(MAX_LINE)).unwrap();
+    assert_eq!(c.read_response().unwrap(), "ok true", "a MAX_LINE-byte line is accepted");
+    // The LF of this line arrives in the read that crosses the limit.
+    c.send_raw(&padded_reaches(MAX_LINE + 1)).unwrap();
+    assert_eq!(c.read_response().unwrap(), ProtoError::Oversized.line());
+    assert_eq!(c.request("ping").unwrap(), "ok pong");
+    server.stop().expect("accept loop panicked");
+}
+
+#[test]
+fn pipelined_bursts_are_answered_in_request_order() {
+    let server = start_server(10, 1, 1);
+    let mut c = Client::connect(&server.addr().to_string()).unwrap();
+    // A server that held answers across a blocking read fails here
+    // instead of hanging.
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    // One write, ten requests; from `reaches n1 burst` on, the answers
+    // depend on the order the requests ran in.
+    c.send_raw(
+        b"ping\nreaches n0 n0\nfrobnicate n0\nreaches \xff n0\nreaches n0 nope\n\
+          reaches n1 burst\nadd-node burst n1\nflush\nreaches n1 burst\n\
+          reaches-batch n1 burst burst n1\n",
+    )
+    .unwrap();
+    let unknown_key = ProtoError::UnknownKey.line();
+    let want = [
+        "ok pong",
+        "ok true",
+        &ProtoError::UnknownVerb.line(),
+        &ProtoError::Utf8.line(),
+        &unknown_key,
+        &unknown_key,
+        "ok added",
+        "ok flushed",
+        "ok true",
+        "ok 1 0",
+    ];
+    for want in want {
+        assert_eq!(c.read_response().unwrap(), want);
+    }
+
+    // A burst whose last line is still unterminated: the complete lines
+    // are answered while the server waits for the rest.
+    c.send_raw(b"ping\nreaches n0 n0\nreaches n0").unwrap();
+    assert_eq!(c.read_response().unwrap(), "ok pong");
+    assert_eq!(c.read_response().unwrap(), "ok true");
+    c.send_raw(b" n0\n").unwrap();
+    assert_eq!(c.read_response().unwrap(), "ok true");
+    assert_eq!(server.caught_panics(), 0);
+    server.stop().expect("accept loop panicked");
+}
+
+#[test]
+fn one_write_per_drained_burst() {
+    let server = start_server(10, 1, 1);
+    let mut c = Client::connect(&server.addr().to_string()).unwrap();
+    let reqs: Vec<String> =
+        (0..64).map(|i| format!("reaches n{} n{}", i % 10, i * 3 % 10)).collect();
+
+    let before = server.writes();
+    let burst: String = reqs.iter().map(|r| format!("{r}\n")).collect();
+    c.send_raw(burst.as_bytes()).unwrap();
+    for _ in &reqs {
+        assert!(c.read_response().unwrap().starts_with("ok "));
+    }
+    assert_eq!(c.request("ping").unwrap(), "ok pong");
+    assert_eq!(server.writes() - before, 2, "one write for the burst, one for the ping");
+
+    let before = server.writes();
+    for r in &reqs {
+        assert!(c.request(r).unwrap().starts_with("ok "));
+    }
+    assert_eq!(server.writes() - before, 64, "one write per lone request");
     server.stop().expect("accept loop panicked");
 }
 
