@@ -14,7 +14,9 @@
 //!    full footprint, reporting page reads per probe and the pool hit
 //!    rate. Before any timing, paged answers over the full probe sets are
 //!    asserted identical to a resident [`tc_core::QueryPlane`] freeze —
-//!    including for pools far smaller than the plane.
+//!    including for pools far smaller than the plane — and the same
+//!    workload timed on that resident plane gives the floor to read the
+//!    pool rows against.
 //!
 //! ```text
 //! io_scale [--nodes 40000] [--degree 3.0] [--seed 1]
@@ -22,13 +24,14 @@
 //! ```
 //!
 //! Writes `results/io_scale.csv`: one `startup` row per graph size, one
-//! `pool` row per pool size.
+//! `resident` row, and one `pool` row per pool size.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tc_bench::{f2, Args, Table};
+use tc_core::paged::{FrozenPlane, PageSource};
 use tc_core::{ClosureConfig, CompressedClosure, PagedPlane};
 use tc_graph::{generators, NodeId};
 
@@ -141,23 +144,29 @@ fn main() {
         .map(|&p| (p as usize).max(2))
         .collect();
     pools.dedup();
+    // The same workload on the resident plane: the floor every pool row is
+    // read against.
+    let resident_ms = time_workload(resident, &probes, &sample);
+    table.row(&[
+        "resident".into(),
+        n.to_string(),
+        closure.total_intervals().to_string(),
+        full.to_string(),
+        String::new(),
+        String::new(),
+        String::new(),
+        f2(resident_ms),
+        String::new(),
+        String::new(),
+    ]);
+    eprintln!("resident: {resident_ms:.1}ms");
     for pool in pools {
         let plane = CompressedClosure::open_paged(&path, pool).expect("open_paged");
         let plane: &PagedPlane = plane.plane();
         check_identical(plane, &probes, &want, &sample, &want_succ, &want_pred);
 
         plane.reset_io();
-        let start = Instant::now();
-        let mut acc = 0usize;
-        for &(s, d) in &probes {
-            acc += usize::from(plane.reaches(s, d));
-        }
-        for &v in &sample {
-            acc += plane.successors(v).len();
-            acc += plane.predecessors(v).len();
-        }
-        std::hint::black_box(acc);
-        let probe_ms = start.elapsed().as_secs_f64() * 1e3;
+        let probe_ms = time_workload(plane, &probes, &sample);
         let io = plane.io_stats();
         let ops = (probes.len() + 2 * sample.len()) as f64;
         table.row(&[
@@ -200,6 +209,26 @@ fn check_identical(
         assert_eq!(plane.successors(v), want_succ[ix], "successors({v:?}) diverge");
         assert_eq!(plane.predecessors(v), want_pred[ix], "predecessors({v:?}) diverge");
     }
+}
+
+/// Milliseconds to run the pool-sweep workload once on `plane`: every point
+/// probe, then a `successors` and a `predecessors` decode per sample node.
+fn time_workload<S: PageSource>(
+    plane: &FrozenPlane<S>,
+    probes: &[(NodeId, NodeId)],
+    sample: &[NodeId],
+) -> f64 {
+    let start = Instant::now();
+    let mut acc = 0usize;
+    for &(s, d) in probes {
+        acc += usize::from(plane.reaches(s, d));
+    }
+    for &v in sample {
+        acc += plane.successors(v).len();
+        acc += plane.predecessors(v).len();
+    }
+    std::hint::black_box(acc);
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn temp_path(tag: usize) -> std::path::PathBuf {

@@ -288,13 +288,9 @@ impl CompressedClosure {
                 })
             }
             // Paged probes serialize on the pool lock anyway, so the batch
-            // runs inline; the win is the pool keeping hot pages resident
-            // across the whole batch.
-            Some(Frozen::Paged(plane)) => {
-                for (slot, &(src, dst)) in out.iter_mut().zip(pairs) {
-                    *slot = plane.reaches(src, dst);
-                }
-            }
+            // runs inline under one lock, and the pool keeps hot pages
+            // resident across the whole batch.
+            Some(Frozen::Paged(plane)) => plane.reaches_batch_into(pairs, &mut out),
             None => {
                 // Hoist the post-number array out of the per-pair loop; each
                 // probe then goes through the same single-interval fast path

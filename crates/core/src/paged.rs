@@ -8,11 +8,17 @@
 //!
 //! * [`QueryPlane`] = `FrozenPlane<MemPages>` — the resident plane: the
 //!   image's payload held in one aligned buffer in RAM, handing out `&[u8]`
-//!   slices directly (no lock, no pin, no lookup).
+//!   slices directly (no lock, no lookup).
 //! * [`PagedPlane`] = `FrozenPlane<PoolPages>` — the out-of-core plane: the
 //!   same payload in a file (or an in-memory pager), pulled page by page
-//!   through an LRU [`BufferPool`]. Used by [`crate::ClosureConfig::paged`]
-//!   freezes and by [`PagedClosure`] instant restart.
+//!   through an exact-LRU [`BufferPool`]. Used by
+//!   [`crate::ClosureConfig::paged`] freezes and by [`PagedClosure`]
+//!   instant restart.
+//!
+//! Every public query opens one [`PageSession`] and reads through it: the
+//! resident session is the payload slice, the paged one holds the pool
+//! lock for the whole call (a whole batch, for
+//! [`FrozenPlane::reaches_batch_into`]) and lends frame bytes in place.
 //!
 //! The image holds eight page-aligned payload segments: row heads and
 //! boundary spill (the fenced row layout of `tc_interval::paged`), the rank
@@ -48,7 +54,6 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Seek, Write};
-use std::ops::{Deref, Range};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +66,7 @@ use tc_interval::paged::{
     padded_boundary_keys, probe_head, HeadProbe, KeyWidth,
 };
 use tc_interval::{merged_row_into, stab, stab_tree, BitRows, BitRowsBuilder};
-use tc_pager::{BufferPool, PageId, PagePin, Pager, PoolStats, DEFAULT_PAGE_SIZE};
+use tc_pager::{BufferPool, PageId, Pager, PoolStats, DEFAULT_PAGE_SIZE};
 
 use crate::builder::ClosureConfig;
 use crate::codec::{fnv1a, DecodeError, Fnv1a, HashingWriter};
@@ -822,25 +827,46 @@ fn parse_image(data: &[u8]) -> Result<(PlaneMeta, &[u8], Option<ResidentHybrid>)
 // Page sources
 // ---------------------------------------------------------------------------
 
-/// Where a [`FrozenPlane`]'s payload pages live. `at` is a byte offset into
-/// the payload; the reader has already bounds-checked every range against
-/// the segment directory, and sources check again against their own extent.
+/// Where a [`FrozenPlane`]'s payload pages live. Every public probe opens
+/// exactly one [`PageSession`] and does all its reads through it.
 pub trait PageSource {
-    /// A contiguous run of payload bytes handed out by [`PageSource::read`].
-    type Run<'a>: Deref<Target = [u8]>
+    /// The reader one probe call holds for its duration.
+    type Session<'a>: PageSession
     where
         Self: 'a;
 
-    /// The contiguous payload bytes `[at, at + len)`.
-    fn read(&self, at: u64, len: usize) -> Result<Self::Run<'_>, PagedError>;
+    /// Opens a session. Sessions do not nest: a probe never opens a second
+    /// one while it holds the first.
+    fn session(&self) -> Self::Session<'_>;
+}
+
+/// Reads payload bytes for one probe call. `at` is a byte offset into the
+/// payload; the reader has already bounds-checked every range against the
+/// segment directory, and sessions check again against their own extent.
+/// Bytes handed out borrow the session, so they are gone before the next
+/// read can fetch a page.
+pub trait PageSession {
+    /// The contiguous payload bytes `[at, at + len)`, which must lie in one
+    /// page (heads and `u32` cells divide the page size, so they always do).
+    fn read(&mut self, at: u64, len: usize) -> Result<&[u8], PagedError>;
 
     /// Calls `f` on consecutive pieces covering `[at, at + len)`, in order.
-    fn scan(&self, at: u64, len: u64, f: impl FnMut(&[u8])) -> Result<(), PagedError>;
+    fn scan(&mut self, at: u64, len: u64, f: impl FnMut(&[u8])) -> Result<(), PagedError>;
+
+    /// Calls `f` with the bytes `[at, at + len)`, which may span pages, and
+    /// with the session itself, so `f` can keep reading while it walks the
+    /// run.
+    fn with_run<R>(
+        &mut self,
+        at: u64,
+        len: usize,
+        f: impl FnOnce(&[u8], &mut Self) -> R,
+    ) -> Result<R, PagedError>;
 }
 
 /// A resident payload: one buffer whose start is aligned to
 /// [`IMAGE_ALIGN`], so every page-aligned segment starts on a cache line.
-/// Reads are plain slices.
+/// Its session is the payload slice itself: no lock, no lookup.
 #[derive(Debug)]
 pub struct MemPages {
     buf: Vec<u8>,
@@ -882,38 +908,59 @@ impl Clone for MemPages {
 }
 
 impl PageSource for MemPages {
-    type Run<'a> = &'a [u8];
+    type Session<'a> = &'a [u8];
 
     #[inline(always)]
-    fn read(&self, at: u64, len: usize) -> Result<&[u8], PagedError> {
-        let from = self.start + at as usize;
-        match self.buf.get(from..from + len) {
+    fn session(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+/// A resident payload's bytes, read in place.
+impl PageSession for &[u8] {
+    #[inline(always)]
+    fn read(&mut self, at: u64, len: usize) -> Result<&[u8], PagedError> {
+        let from = at as usize;
+        match self.get(from..from + len) {
             Some(bytes) => Ok(bytes),
             None => corrupt("read past image end"),
         }
     }
 
     #[inline]
-    fn scan(&self, at: u64, len: u64, mut f: impl FnMut(&[u8])) -> Result<(), PagedError> {
+    fn scan(&mut self, at: u64, len: u64, mut f: impl FnMut(&[u8])) -> Result<(), PagedError> {
         f(self.read(at, len as usize)?);
         Ok(())
     }
+
+    #[inline]
+    fn with_run<R>(
+        &mut self,
+        at: u64,
+        len: usize,
+        f: impl FnOnce(&[u8], &mut Self) -> R,
+    ) -> Result<R, PagedError> {
+        let mut payload = *self;
+        Ok(f(payload.read(at, len)?, self))
+    }
 }
 
-/// The pager and its buffer pool, locked together: the pager's read
-/// counters and the pool's LRU state both need exclusive access, and a
-/// fetch must consult them atomically. Pins escape the lock — a [`PagePin`]
-/// owns its bytes — so the critical section is one HashMap probe plus, on a
-/// miss, one page read.
+/// The pager, its buffer pool and a run buffer, locked together: the
+/// pager's read counters and the pool's LRU state both need exclusive
+/// access, and a fetch must consult them atomically.
 #[derive(Debug)]
 struct PoolInner {
     pager: Pager,
     pool: BufferPool,
+    /// Reused by [`PoolSession::with_run`]: a run is copied out before the
+    /// next page is fetched.
+    run: Vec<u8>,
 }
 
 /// An out-of-core payload: pages read from a file region (or an in-memory
-/// pager) through an LRU buffer pool. Fetches serialize on an internal
-/// lock; pinned bytes are read outside it.
+/// pager) through an exact-LRU buffer pool. Its session holds the pool lock
+/// for one whole probe call, so a probe costs one lock however many pages
+/// it touches, and reads borrow the frames in place.
 #[derive(Debug)]
 pub struct PoolPages {
     inner: Mutex<PoolInner>,
@@ -938,81 +985,89 @@ impl PoolPages {
         pool_pages: usize,
         owned_path: Option<PathBuf>,
     ) -> PoolPages {
+        let pool = BufferPool::new(pool_pages.max(1));
         PoolPages {
-            inner: Mutex::new(PoolInner { pager, pool: BufferPool::new(pool_pages.max(1)) }),
+            inner: Mutex::new(PoolInner { pager, pool, run: Vec::new() }),
             page_size: meta.page_size,
             pages: meta.payload_pages(),
             owned_path,
         }
     }
 
+    /// The pool lock. A probe that panicked while holding it (a failed
+    /// page read) left the pool valid — a miss maps its frame only after
+    /// the read lands — so a poisoned lock is taken over, not propagated.
     fn lock(&self) -> MutexGuard<'_, PoolInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Fetches one payload page as a pin (bytes stay valid after unlock).
-    fn pin(&self, page: u64) -> Result<PagePin, PagedError> {
-        if page >= self.pages {
-            return corrupt("page index out of range");
-        }
-        let mut g = self.lock();
-        let PoolInner { pager, pool } = &mut *g;
-        Ok(pool.fetch_pin(pager, PageId(page as u32)))
-    }
-}
-
-/// Bytes read through a [`PoolPages`]: a range of a pinned frame, or a
-/// copy when the run straddles pages.
-#[derive(Debug)]
-pub struct PoolRun(RunBytes);
-
-#[derive(Debug)]
-enum RunBytes {
-    Pinned(PagePin, Range<usize>),
-    Copied(Vec<u8>),
-}
-
-impl Deref for PoolRun {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.0 {
-            RunBytes::Pinned(pin, range) => &pin[range.clone()],
-            RunBytes::Copied(bytes) => bytes,
-        }
     }
 }
 
 impl PageSource for PoolPages {
-    type Run<'a> = PoolRun;
+    type Session<'a> = PoolSession<'a>;
 
-    /// Single-page runs borrow the pinned frame; straddling runs are copied
-    /// (only multi-key reads can straddle — heads and `u32` cells divide
-    /// the page size).
-    fn read(&self, at: u64, len: usize) -> Result<PoolRun, PagedError> {
-        let ps = self.page_size as u64;
-        let in_page = (at % ps) as usize;
-        if in_page + len <= self.page_size {
-            let pin = self.pin(at / ps)?;
-            return Ok(PoolRun(RunBytes::Pinned(pin, in_page..in_page + len)));
+    fn session(&self) -> PoolSession<'_> {
+        PoolSession { inner: self.lock(), page_size: self.page_size, pages: self.pages }
+    }
+}
+
+/// One probe call's hold on a [`PoolPages`]: the pool lock, released when
+/// the call returns.
+#[derive(Debug)]
+pub struct PoolSession<'a> {
+    inner: MutexGuard<'a, PoolInner>,
+    page_size: usize,
+    pages: u64,
+}
+
+impl PoolSession<'_> {
+    /// Fetches payload page `page` through the pool.
+    #[inline]
+    fn fetch(&mut self, page: u64) -> Result<&[u8], PagedError> {
+        if page >= self.pages {
+            return corrupt("page index out of range");
         }
-        let mut buf = Vec::with_capacity(len);
-        self.scan(at, len as u64, |piece| buf.extend_from_slice(piece))?;
-        Ok(PoolRun(RunBytes::Copied(buf)))
+        let PoolInner { pager, pool, .. } = &mut *self.inner;
+        Ok(pool.fetch(pager, PageId(page as u32)))
+    }
+}
+
+impl PageSession for PoolSession<'_> {
+    fn read(&mut self, at: u64, len: usize) -> Result<&[u8], PagedError> {
+        let in_page = (at % self.page_size as u64) as usize;
+        if in_page + len > self.page_size {
+            return corrupt("read straddles a page");
+        }
+        let page = self.fetch(at / self.page_size as u64)?;
+        Ok(&page[in_page..in_page + len])
     }
 
-    fn scan(&self, at: u64, len: u64, mut f: impl FnMut(&[u8])) -> Result<(), PagedError> {
+    fn scan(&mut self, at: u64, len: u64, mut f: impl FnMut(&[u8])) -> Result<(), PagedError> {
         let ps = self.page_size as u64;
         let end = at.checked_add(len).ok_or(PagedError::Corrupt("range overflow"))?;
         let mut pos = at;
         while pos < end {
             let in_page = (pos % ps) as usize;
             let take = (ps - in_page as u64).min(end - pos) as usize;
-            let pin = self.pin(pos / ps)?;
-            f(&pin[in_page..in_page + take]);
+            f(&self.fetch(pos / ps)?[in_page..in_page + take]);
             pos += take as u64;
         }
         Ok(())
+    }
+
+    /// Copies the run into the session's run buffer first — it may span
+    /// pages, and `f`'s own reads may evict its frames.
+    fn with_run<R>(
+        &mut self,
+        at: u64,
+        len: usize,
+        f: impl FnOnce(&[u8], &mut Self) -> R,
+    ) -> Result<R, PagedError> {
+        let mut run = std::mem::take(&mut self.inner.run);
+        run.clear();
+        self.scan(at, len as u64, |piece| run.extend_from_slice(piece))?;
+        let out = f(&run, self);
+        self.inner.run = run;
+        Ok(out)
     }
 }
 
@@ -1075,10 +1130,16 @@ impl<S: PageSource> FrozenPlane<S> {
     /// The `len` bytes at `byte_off` within segment `seg`, bounds-checked
     /// against the directory.
     #[inline]
-    fn seg_read(&self, seg: usize, byte_off: u64, len: usize) -> Result<S::Run<'_>, PagedError> {
-        let s = self.meta.segs[seg];
+    fn seg_read<'s>(
+        &self,
+        s: &'s mut S::Session<'_>,
+        seg: usize,
+        byte_off: u64,
+        len: usize,
+    ) -> Result<&'s [u8], PagedError> {
+        let seg = self.meta.segs[seg];
         match byte_off.checked_add(len as u64) {
-            Some(end) if end <= s.len => self.pages.read(s.off + byte_off, len),
+            Some(end) if end <= seg.len => s.read(seg.off + byte_off, len),
             _ => corrupt("read past segment end"),
         }
     }
@@ -1087,25 +1148,26 @@ impl<S: PageSource> FrozenPlane<S> {
     #[inline]
     fn seg_scan(
         &self,
+        s: &mut S::Session<'_>,
         seg: usize,
         byte_off: u64,
         len: u64,
         f: impl FnMut(&[u8]),
     ) -> Result<(), PagedError> {
-        let s = self.meta.segs[seg];
+        let seg = self.meta.segs[seg];
         match byte_off.checked_add(len) {
-            Some(end) if end <= s.len => self.pages.scan(s.off + byte_off, len, f),
+            Some(end) if end <= seg.len => s.scan(seg.off + byte_off, len, f),
             _ => corrupt("read past segment end"),
         }
     }
 
     /// The `u32` at `index` of a 4-byte-element segment.
     #[inline]
-    fn u32_at(&self, seg: usize, index: u64) -> Result<u32, PagedError> {
+    fn u32_at(&self, s: &mut S::Session<'_>, seg: usize, index: u64) -> Result<u32, PagedError> {
         let Some(off) = index.checked_mul(4) else {
             return corrupt("index overflow");
         };
-        Ok(rd_u32(&self.seg_read(seg, off, 4)?, 0))
+        Ok(rd_u32(self.seg_read(s, seg, off, 4)?, 0))
     }
 
     /// Node id bounds check shared by the public probes.
@@ -1119,11 +1181,11 @@ impl<S: PageSource> FrozenPlane<S> {
 
     /// The rank of `node`'s own postorder number — the probe key.
     #[inline(always)]
-    fn rank_of(&self, node: NodeId) -> Result<u32, PagedError> {
+    fn rank_of(&self, s: &mut S::Session<'_>, node: NodeId) -> Result<u32, PagedError> {
         let idx = self.check_node(node)? as u64;
         // The directory fixes the rank segment at `nodes` cells, so a
         // checked node id needs no segment check of its own.
-        let r = rd_u32(&self.pages.read(self.meta.segs[SEG_RANK].off + 4 * idx, 4)?, 0);
+        let r = rd_u32(s.read(self.meta.segs[SEG_RANK].off + 4 * idx, 4)?, 0);
         if r as u64 >= self.meta.live as u64 {
             return corrupt("rank out of range");
         }
@@ -1134,11 +1196,11 @@ impl<S: PageSource> FrozenPlane<S> {
     /// segment at `nodes` headers) contains rank `t`: one header read, then
     /// at most one boundary slice.
     #[inline(always)]
-    fn row_contains(&self, row: usize, t: u32) -> Result<bool, PagedError> {
+    fn row_contains(&self, s: &mut S::Session<'_>, row: usize, t: u32) -> Result<bool, PagedError> {
         let kw = self.meta.kw;
         let hb = kw.head_bytes();
         let at = self.meta.segs[SEG_HEADS].off + (row * hb) as u64;
-        match probe_head(&self.pages.read(at, hb)?, kw, t) {
+        match probe_head(s.read(at, hb)?, kw, t) {
             HeadProbe::Hit(ans) => Ok(ans),
             HeadProbe::Scan { key_start, key_count } => {
                 let kb = kw.key_bytes() as u64;
@@ -1146,7 +1208,7 @@ impl<S: PageSource> FrozenPlane<S> {
                     return corrupt("spill range");
                 };
                 let mut count = 0usize;
-                self.seg_scan(SEG_SPILL, start, key_count as u64 * kb, |keys| {
+                self.seg_scan(s, SEG_SPILL, start, key_count as u64 * kb, |keys| {
                     count += count_le(keys, kw, t);
                 })?;
                 Ok(count % 2 == 1)
@@ -1154,10 +1216,14 @@ impl<S: PageSource> FrozenPlane<S> {
         }
     }
 
-    /// Fallible [`FrozenPlane::reaches`]: reports corruption instead of
-    /// panicking.
+    /// [`FrozenPlane::try_reaches`] inside an open session.
     #[inline(always)]
-    pub fn try_reaches(&self, src: NodeId, dst: NodeId) -> Result<bool, PagedError> {
+    fn reaches_in(
+        &self,
+        s: &mut S::Session<'_>,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<bool, PagedError> {
         let row = self.check_node(src)?;
         if let Some(h) = &self.hybrid {
             self.check_node(dst)?;
@@ -1167,13 +1233,21 @@ impl<S: PageSource> FrozenPlane<S> {
             if !h.cutoff.may_reach(src, dst) {
                 return Ok(false);
             }
-            let t = self.rank_of(dst)?;
+            let t = self.rank_of(s, dst)?;
             if let Some(hit) = h.bitrows.contains(row, t) {
                 return Ok(hit);
             }
-            return self.row_contains(row, t);
+            return self.row_contains(s, row, t);
         }
-        self.row_contains(row, self.rank_of(dst)?)
+        let t = self.rank_of(s, dst)?;
+        self.row_contains(s, row, t)
+    }
+
+    /// Fallible [`FrozenPlane::reaches`]: reports corruption instead of
+    /// panicking.
+    #[inline(always)]
+    pub fn try_reaches(&self, src: NodeId, dst: NodeId) -> Result<bool, PagedError> {
+        self.reaches_in(&mut self.pages.session(), src, dst)
     }
 
     /// Whether `src` reaches `dst` (reflexive): the negative-cutoff labels
@@ -1196,26 +1270,64 @@ impl<S: PageSource> FrozenPlane<S> {
     /// hybrid oracle is measured against.
     #[inline]
     pub fn reaches_interval_only(&self, src: NodeId, dst: NodeId) -> bool {
+        let s = &mut self.pages.session();
         self.check_node(src)
-            .and_then(|row| self.row_contains(row, self.rank_of(dst)?))
+            .and_then(|row| {
+                let t = self.rank_of(s, dst)?;
+                self.row_contains(s, row, t)
+            })
             .expect("frozen plane probe")
     }
 
     /// Answers a batch of reachability pairs in one call.
     pub fn reaches_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<bool> {
-        pairs.iter().map(|&(s, d)| self.reaches(s, d)).collect()
+        let mut out = Vec::new();
+        self.reaches_batch_into(pairs, &mut out);
+        out
+    }
+
+    /// Answers every pair into `out` (cleared first) under one page
+    /// session: a paged plane takes its pool lock once for the whole
+    /// batch.
+    ///
+    /// # Panics
+    ///
+    /// As [`FrozenPlane::reaches`], on an id outside the plane or a corrupt
+    /// image.
+    pub fn reaches_batch_into(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<bool>) {
+        self.reaches_batch_below(usize::MAX, pairs, out);
+    }
+
+    /// [`FrozenPlane::reaches_batch_into`], except that a pair with an id at
+    /// or past `limit` answers `false` without a probe.
+    pub(crate) fn reaches_batch_below(
+        &self,
+        limit: usize,
+        pairs: &[(NodeId, NodeId)],
+        out: &mut Vec<bool>,
+    ) {
+        out.clear();
+        let s = &mut self.pages.session();
+        out.extend(pairs.iter().map(|&(src, dst)| {
+            src.index() < limit
+                && dst.index() < limit
+                && self.reaches_in(s, src, dst).expect("frozen plane probe")
+        }));
     }
 
     /// Calls `f` with each of row `row`'s merged rank intervals, ascending,
-    /// validating shape (ascending, disjoint, within the line).
+    /// validating shape (ascending, disjoint, within the line). The row's
+    /// boundaries are read in full before the first call, and `f` gets the
+    /// session back to read with.
     fn for_each_row_interval(
         &self,
+        s: &mut S::Session<'_>,
         row: usize,
-        mut f: impl FnMut(u32, u32) -> Result<(), PagedError>,
+        mut f: impl FnMut(&mut S::Session<'_>, u32, u32) -> Result<(), PagedError>,
     ) -> Result<(), PagedError> {
         let kw = self.meta.kw;
         let hb = kw.head_bytes();
-        let head = decode_head(&self.seg_read(SEG_HEADS, (row * hb) as u64, hb)?, kw);
+        let head = decode_head(self.seg_read(s, SEG_HEADS, (row * hb) as u64, hb)?, kw);
         let m = head.intervals as usize;
         if m == 0 {
             return Ok(());
@@ -1225,30 +1337,44 @@ impl<S: PageSource> FrozenPlane<S> {
         }
         let kb = kw.key_bytes();
         let byte_off = head.spill_start as u64 * kb as u64;
+        let len = 2 * m * kb;
+        let spill = self.meta.segs[SEG_SPILL];
+        let at = match byte_off.checked_add(len as u64) {
+            Some(end) if end <= spill.len => spill.off + byte_off,
+            _ => return corrupt("read past segment end"),
+        };
         let live = self.meta.live as u64;
-        let bounds = self.seg_read(SEG_SPILL, byte_off, 2 * m * kb)?;
-        // Boundaries ascend strictly across the whole row, so checking each
-        // `lo` against the previous `hi + 1` keeps the intervals disjoint.
-        let mut floor = 0u32;
-        for_each_boundary_pair(&bounds, kw, m, |lo, hi1| {
-            if hi1 <= lo || lo < floor {
-                return corrupt("row intervals not ascending");
-            }
-            if hi1 as u64 > live {
-                return corrupt("row interval past line end");
-            }
-            floor = hi1;
-            f(lo, hi1 - 1)
-        })
+        s.with_run(at, len, |bounds, s| {
+            // Boundaries ascend strictly across the whole row, so checking
+            // each `lo` against the previous `hi + 1` keeps the intervals
+            // disjoint.
+            let mut floor = 0u32;
+            for_each_boundary_pair(bounds, kw, m, |lo, hi1| {
+                if hi1 <= lo || lo < floor {
+                    return corrupt("row intervals not ascending");
+                }
+                if hi1 as u64 > live {
+                    return corrupt("row interval past line end");
+                }
+                floor = hi1;
+                f(s, lo, hi1 - 1)
+            })
+        })?
     }
 
     /// Appends the line nodes at ranks `[rlo, rhi]` to `out`.
-    fn read_line_run(&self, rlo: u32, rhi: u32, out: &mut Vec<NodeId>) -> Result<(), PagedError> {
+    fn read_line_run(
+        &self,
+        s: &mut S::Session<'_>,
+        rlo: u32,
+        rhi: u32,
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), PagedError> {
         if rhi < rlo {
             return corrupt("rank run inverted");
         }
         let len = (rhi - rlo) as u64 * 4 + 4;
-        self.seg_scan(SEG_LINE, rlo as u64 * 4, len, |chunk| {
+        self.seg_scan(s, SEG_LINE, rlo as u64 * 4, len, |chunk| {
             out.extend(chunk.chunks_exact(4).map(|c| NodeId(rd_u32(c, 0))));
         })
     }
@@ -1261,6 +1387,7 @@ impl<S: PageSource> FrozenPlane<S> {
     ) -> Result<(), PagedError> {
         let row = self.check_node(node)?;
         out.clear();
+        let s = &mut self.pages.session();
         // A bitset row decodes as maximal set-bit runs — the same (lo, hi)
         // geometry its interval row holds, so the output order (ascending
         // rank == ascending postorder number) is identical.
@@ -1268,14 +1395,14 @@ impl<S: PageSource> FrozenPlane<S> {
             let mut res = Ok(());
             let found = h.bitrows.for_each_run(row, |lo, hi| {
                 if res.is_ok() {
-                    res = self.read_line_run(lo, hi, out);
+                    res = self.read_line_run(s, lo, hi, out);
                 }
             });
             if found {
                 return res;
             }
         }
-        self.for_each_row_interval(row, |lo, hi| self.read_line_run(lo, hi, out))
+        self.for_each_row_interval(s, row, |s, lo, hi| self.read_line_run(s, lo, hi, out))
     }
 
     /// All nodes reachable from `node` (including itself), ascending by
@@ -1300,7 +1427,7 @@ impl<S: PageSource> FrozenPlane<S> {
             return Ok(count);
         }
         let mut count = 0usize;
-        self.for_each_row_interval(row, |lo, hi| {
+        self.for_each_row_interval(&mut self.pages.session(), row, |_, lo, hi| {
             count += (hi - lo) as usize + 1;
             Ok(())
         })?;
@@ -1319,12 +1446,13 @@ impl<S: PageSource> FrozenPlane<S> {
         out: &mut Vec<NodeId>,
     ) -> Result<(), PagedError> {
         out.clear();
-        let t = self.rank_of(node)?;
+        let s = &mut self.pages.session();
+        let t = self.rank_of(s, node)?;
         // Candidate prefix: positions with lo <= t (los is ascending).
         let (mut lo, mut hi) = (0u64, self.meta.intervals as u64);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.u32_at(SEG_STAB_LOS, mid)? <= t {
+            if self.u32_at(s, SEG_STAB_LOS, mid)? <= t {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -1335,9 +1463,10 @@ impl<S: PageSource> FrozenPlane<S> {
             self.meta.leaves,
             lo as usize,
             t,
-            &mut |i| self.u32_at(SEG_STAB_TREE, i as u64),
-            &mut |pos| {
-                let owner = self.u32_at(SEG_STAB_OWNERS, pos as u64)?;
+            s,
+            &|s, i| self.u32_at(s, SEG_STAB_TREE, i as u64),
+            &mut |s, pos| {
+                let owner = self.u32_at(s, SEG_STAB_OWNERS, pos as u64)?;
                 if owner as usize >= self.meta.nodes {
                     return corrupt("stab owner out of range");
                 }
@@ -1379,7 +1508,7 @@ impl<S: PageSource> FrozenPlane<S> {
             return Ok(());
         };
         let mut fnv = Fnv1a::new();
-        self.pages.scan(0, self.meta.payload_len, |bytes| fnv.update(bytes))?;
+        self.pages.session().scan(0, self.meta.payload_len, |bytes| fnv.update(bytes))?;
         if fnv.finish() != want {
             return corrupt("payload digest mismatch");
         }
@@ -1423,7 +1552,9 @@ impl<S: PageSource> FrozenPlane<S> {
                 ));
             }
         }
-        let read = |seg, ix: usize| self.u32_at(seg, ix as u64).map_err(|e| e.to_string());
+        let s = &mut self.pages.session();
+        let mut read =
+            |seg, ix: usize| self.u32_at(s, seg, ix as u64).map_err(|e| e.to_string());
         for (r, (num, node)) in lab.line.live_in_range(0, u64::MAX).enumerate() {
             let at = read(SEG_LINE, r)?;
             if at != node {
@@ -1638,6 +1769,17 @@ impl Frozen {
     #[inline]
     pub(crate) fn reaches(&self, src: NodeId, dst: NodeId) -> bool {
         on_plane!(self, p => p.reaches(src, dst))
+    }
+
+    /// Answers `pairs` under one page session; a pair with an id at or
+    /// past `limit` answers `false` without a probe.
+    pub(crate) fn reaches_batch_below(
+        &self,
+        limit: usize,
+        pairs: &[(NodeId, NodeId)],
+        out: &mut Vec<bool>,
+    ) {
+        on_plane!(self, p => p.reaches_batch_below(limit, pairs, out))
     }
 
     pub(crate) fn successors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
@@ -2075,6 +2217,110 @@ mod tests {
         for cut in [plane_end + 1, good.len() - HYBRID_TRAILER_BYTES, good.len() - 1] {
             assert!(PagedPlane::open_from_bytes(&good[..cut], 4).is_err());
         }
+    }
+
+    /// The ledger's smoke shape paged through a 16-page pool, probed with a
+    /// fixed mix of every query. The counts are exact: they pin the pool's
+    /// replacement decisions, so a pool change that reads one page more or
+    /// less fails here.
+    #[test]
+    fn smoke_shape_pool_counts_are_exact() {
+        let g = generators::dense_layered(12, 100, 3, 1);
+        let mut c = ClosureConfig::new().paged(16).build(&g).unwrap();
+        c.freeze();
+        let plane = Arc::clone(c.paged_plane().expect("paged freeze"));
+        let n = plane.node_count() as u64;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        // Sources from the first quarter, targets from the rest, as the
+        // ledger draws them: most pairs get past the cutoff screen.
+        let mut next = move |lo: u64, hi: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            NodeId((lo + state % (hi - lo)) as u32)
+        };
+        let mut pair = move || (next(0, n / 4), next(n / 4, n));
+        let mut reached = 0usize;
+        for _ in 0..2000 {
+            let (s, d) = pair();
+            reached += plane.reaches(s, d) as usize;
+        }
+        let pairs: Vec<(NodeId, NodeId)> = (0..512).map(|_| pair()).collect();
+        reached += plane.reaches_batch(&pairs).into_iter().filter(|&b| b).count();
+        let stats = |page_reads, hits, evictions| PagedIoStats {
+            page_reads,
+            pool: PoolStats { hits, misses: page_reads, evictions },
+            resident: 16,
+        };
+        assert_eq!(reached, 374);
+        assert_eq!(plane.io_stats(), stats(520, 5394, 504));
+        let mut out = Vec::new();
+        let mut decoded = 0usize;
+        for _ in 0..32 {
+            let (s, d) = pair();
+            plane.successors_into(s, &mut out);
+            decoded += out.len();
+            decoded += plane.successor_count(d);
+            plane.predecessors_into(d, &mut out);
+            decoded += out.len();
+        }
+        assert_eq!(decoded, 5665);
+        assert_eq!(plane.io_stats(), stats(1099, 14207, 1083));
+    }
+
+    /// Four threads share one plane on a one-frame pool — every fetch
+    /// evicts, so every run spanning pages must be copied out before the
+    /// next fetch — and every answer must match the resident plane. The
+    /// threads report through a channel with a deadline, so a nested
+    /// session (a self-deadlock on the pool lock) fails instead of hanging.
+    #[test]
+    fn concurrent_readers_on_a_one_frame_pool_match_resident() {
+        let c = hybrid_closure();
+        let paged = Arc::new(PagedPlane::open_from_bytes(&c.to_paged_bytes(), 1).unwrap());
+        let resident = Arc::new(QueryPlane::freeze(&c.graph, &c.lab, 2));
+        assert!(paged.bitset_rows() > 0 && paged.payload_pages() > 1);
+        let n = c.node_count();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut readers = Vec::new();
+        for t in 0..4usize {
+            let (paged, resident, tx) = (Arc::clone(&paged), Arc::clone(&resident), tx.clone());
+            readers.push(std::thread::spawn(move || {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let (mut bits, mut want_bits) = (Vec::new(), Vec::new());
+                for round in 0..3 {
+                    for v in (t..n).step_by(3).map(NodeId::from_index) {
+                        paged.successors_into(v, &mut got);
+                        resident.successors_into(v, &mut want);
+                        assert_eq!(got, want, "successors({v:?})");
+                        assert_eq!(paged.successor_count(v), resident.successor_count(v));
+                        paged.predecessors_into(v, &mut got);
+                        resident.predecessors_into(v, &mut want);
+                        assert_eq!(got, want, "predecessors({v:?})");
+                        let pairs: Vec<(NodeId, NodeId)> = (round..n)
+                            .step_by(5)
+                            .map(|w| (v, NodeId::from_index(w)))
+                            .collect();
+                        paged.reaches_batch_into(&pairs, &mut bits);
+                        resident.reaches_batch_into(&pairs, &mut want_bits);
+                        assert_eq!(bits, want_bits, "reaches_batch from {v:?}");
+                        for &(s, d) in &pairs {
+                            assert_eq!(paged.reaches(s, d), resident.reaches(s, d));
+                        }
+                        assert!(paged.io_stats().resident <= 1);
+                    }
+                }
+                tx.send(t).unwrap();
+            }));
+        }
+        drop(tx);
+        for _ in 0..4 {
+            let done = rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert!(done.is_ok(), "a reader panicked or deadlocked: {done:?}");
+        }
+        for reader in readers {
+            reader.join().expect("reader thread");
+        }
+        assert!(paged.io_stats().pool.evictions > 0);
     }
 
     #[test]

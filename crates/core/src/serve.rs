@@ -232,11 +232,11 @@ impl ServiceSnapshot {
         out
     }
 
-    /// Answers every pair into `out` (cleared first). With a caller-reused
-    /// buffer the whole batch allocates nothing.
+    /// Answers every pair into `out` (cleared first), all under one page
+    /// session: a paged snapshot takes its pool lock once per batch. With a
+    /// caller-reused buffer the whole batch allocates nothing.
     pub fn reaches_batch_into(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(pairs.iter().map(|&(src, dst)| self.reaches(src, dst)));
+        self.plane.reaches_batch_below(self.nodes, pairs, out);
     }
 
     /// All nodes reachable from `node` (including itself), ascending by

@@ -369,7 +369,8 @@ impl EngineState {
     /// compares the paged plane's answers — served through a 2-frame pool,
     /// so nearly every probe evicts — against the closure under test:
     /// every successor set, every predecessor set, every successor count,
-    /// and the shared deterministic point-query sample.
+    /// and the shared deterministic point-query sample, asked pair by pair
+    /// and again as one `reaches_batch` on a 1-frame pool.
     fn check_paged(&self) -> Result<(), String> {
         let bytes = self.closure.to_paged_bytes();
         let plane = PagedPlane::open_from_bytes(&bytes, 2)
@@ -410,13 +411,20 @@ impl EngineState {
         }
         if n > 0 {
             let samples = (4 * n).min(1024);
-            for k in 0..samples as u64 {
-                let (s, d) = sample_pair(k, n);
+            let pairs: Vec<(NodeId, NodeId)> =
+                (0..samples as u64).map(|k| sample_pair(k, n)).collect();
+            // The same pairs as one batch, through a one-frame pool: a
+            // single session in which every fetch evicts.
+            let batch = PagedPlane::open_from_bytes(&bytes, 1)
+                .map_err(|e| format!("open_from_bytes with one frame: {e}"))?
+                .reaches_batch(&pairs);
+            for (&(s, d), &batched) in pairs.iter().zip(&batch) {
                 let got = plane.reaches(s, d);
                 let want = self.closure.reaches(s, d);
-                if got != want {
+                if got != want || batched != want {
                     return Err(format!(
-                        "paged reaches({s:?},{d:?}) = {got}, closure says {want}"
+                        "paged reaches({s:?},{d:?}) = {got}, batched {batched}, \
+                         closure says {want}"
                     ));
                 }
             }

@@ -87,40 +87,44 @@ pub fn stab_tree(his: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
 /// Reports, through `hit`, the position of every interval containing rank
 /// `t`, in ascending position order. `pos` is the number of intervals with
 /// `lo <= t` (a prefix, since positions are sorted by `lo`), `leaves` the
-/// tree's leaf count, and `tree(i)` reads entry `i` of the [`stab_tree`]
-/// array. Subtrees entirely at or past `pos`, or whose max `hi` misses `t`,
-/// are pruned — each visited subtree holds a reported leaf or straddles
-/// `pos` — so the walk is O(k log m) for k hits among m intervals.
-pub fn stab<E>(
+/// tree's leaf count, and `tree(cx, i)` reads entry `i` of the [`stab_tree`]
+/// array. Both accessors get `cx`, so they can share one mutable reader.
+/// Subtrees entirely at or past `pos`, or whose max `hi` misses `t`, are
+/// pruned — each visited subtree holds a reported leaf or straddles `pos` —
+/// so the walk is O(k log m) for k hits among m intervals.
+pub fn stab<C, E>(
     leaves: usize,
     pos: usize,
     t: u32,
-    tree: &mut impl FnMut(usize) -> Result<u32, E>,
-    hit: &mut impl FnMut(usize) -> Result<(), E>,
+    cx: &mut C,
+    tree: &impl Fn(&mut C, usize) -> Result<u32, E>,
+    hit: &mut impl FnMut(&mut C, usize) -> Result<(), E>,
 ) -> Result<(), E> {
-    fn descend<E>(
+    #[allow(clippy::too_many_arguments)]
+    fn descend<C, E>(
         node: usize,
         lo: usize,
         hi: usize,
         pos: usize,
         t: u32,
-        tree: &mut impl FnMut(usize) -> Result<u32, E>,
-        hit: &mut impl FnMut(usize) -> Result<(), E>,
+        cx: &mut C,
+        tree: &impl Fn(&mut C, usize) -> Result<u32, E>,
+        hit: &mut impl FnMut(&mut C, usize) -> Result<(), E>,
     ) -> Result<(), E> {
-        if lo >= pos || tree(node)? <= t {
+        if lo >= pos || tree(cx, node)? <= t {
             return Ok(());
         }
         if hi - lo == 1 {
-            return hit(lo);
+            return hit(cx, lo);
         }
         let mid = lo + (hi - lo) / 2;
-        descend(2 * node, lo, mid, pos, t, tree, hit)?;
-        descend(2 * node + 1, mid, hi, pos, t, tree, hit)
+        descend(2 * node, lo, mid, pos, t, cx, tree, hit)?;
+        descend(2 * node + 1, mid, hi, pos, t, cx, tree, hit)
     }
     if pos == 0 {
         return Ok(());
     }
-    descend(1, 0, leaves, pos, t, tree, hit)
+    descend(1, 0, leaves, pos, t, cx, tree, hit)
 }
 
 #[cfg(test)]
@@ -286,7 +290,7 @@ mod tests {
         let leaves = if sorted.is_empty() { 0 } else { sorted.len().next_power_of_two() };
         let pos = sorted.partition_point(|i| i.0 <= t);
         let mut out = Vec::new();
-        stab::<()>(leaves, pos, t, &mut |i| Ok(tree[i]), &mut |p| {
+        stab::<_, ()>(leaves, pos, t, &mut out, &|_, i| Ok(tree[i]), &mut |out, p| {
             out.push(sorted[p].2);
             Ok(())
         })

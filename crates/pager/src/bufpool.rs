@@ -1,17 +1,20 @@
-//! An LRU buffer pool over the [`Pager`], with page pins.
+//! An exact-LRU buffer pool over the [`Pager`], O(1) per fetch.
 //!
-//! A probe that decodes a row slice in place must be able to hold the page
-//! across its own logic without the pool yanking the frame on the next
-//! fetch. [`BufferPool::fetch_pin`] returns a [`PagePin`] — a shared handle
-//! to the frame — and eviction only ever considers unpinned frames. If every
-//! frame is pinned the pool temporarily overflows its capacity rather than
-//! invalidate a live borrow.
-
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::Arc;
+//! A dense page table maps each page id to the frame holding it, and an
+//! intrusive doubly linked list threads the frames in recency order. A hit
+//! is one table load and a splice to the front of the list; a miss on a
+//! full pool evicts the list's tail and reads the new page straight into
+//! the victim's buffer, so after warm-up a miss allocates nothing. The
+//! replacement decisions are exactly those of a textbook LRU: the victim
+//! is always the resident page whose last fetch is oldest.
+//!
+//! Fetched bytes borrow the pool, so they cannot outlive the next fetch;
+//! a caller that needs two pages at once copies the first.
 
 use crate::{PageId, Pager};
+
+/// Marks "no frame" in the page table and the ends of the recency list.
+const NONE: u32 = u32::MAX;
 
 /// Hit/miss statistics of a buffer pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,20 +35,15 @@ impl PoolStats {
     }
 }
 
-/// A pinned page image. Holding the pin keeps the bytes alive even if the
-/// pool evicts the frame underneath — the pin shares ownership, so the worst
-/// case is a redundant re-read later, never a dangling slice.
-#[derive(Debug, Clone)]
-pub struct PagePin {
-    data: Arc<[u8]>,
-}
-
-impl Deref for PagePin {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
+/// One cached page image and its links in the recency list.
+#[derive(Debug)]
+struct Frame {
+    page: PageId,
+    /// The next more recently used frame (`NONE` at the head).
+    prev: u32,
+    /// The next less recently used frame (`NONE` at the tail).
+    next: u32,
+    data: Box<[u8]>,
 }
 
 /// A fixed-capacity LRU cache of page images.
@@ -55,9 +53,13 @@ impl Deref for PagePin {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    /// page -> (image, last-use tick)
-    frames: HashMap<PageId, (Arc<[u8]>, u64)>,
-    tick: u64,
+    /// `table[page]` is the frame holding `page`, or `NONE`.
+    table: Vec<u32>,
+    frames: Vec<Frame>,
+    /// Most recently used frame.
+    head: u32,
+    /// Least recently used frame: the next victim.
+    tail: u32,
     stats: PoolStats,
 }
 
@@ -65,56 +67,87 @@ impl BufferPool {
     /// Creates a pool holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
+        assert!(capacity < NONE as usize, "buffer pool capacity {capacity} too large");
         BufferPool {
             capacity,
-            frames: HashMap::with_capacity(capacity),
-            tick: 0,
+            table: Vec::new(),
+            frames: Vec::new(),
+            head: NONE,
+            tail: NONE,
             stats: PoolStats::default(),
         }
     }
 
     /// Fetches a page through the pool, touching the pager only on a miss.
     pub fn fetch<'a>(&'a mut self, pager: &Pager, id: PageId) -> &'a [u8] {
-        self.fetch_frame(pager, id);
-        &self.frames.get(&id).expect("frame just ensured").0
-    }
-
-    /// Fetches a page and pins it. The returned [`PagePin`] keeps the bytes
-    /// valid for as long as it lives; a pinned frame is never evicted.
-    pub fn fetch_pin(&mut self, pager: &Pager, id: PageId) -> PagePin {
-        self.fetch_frame(pager, id);
-        PagePin {
-            data: Arc::clone(&self.frames.get(&id).expect("frame just ensured").0),
-        }
-    }
-
-    fn fetch_frame(&mut self, pager: &Pager, id: PageId) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.frames.get_mut(&id) {
-            self.stats.hits += 1;
-            entry.1 = tick;
-            return;
-        }
-        self.stats.misses += 1;
-        if self.frames.len() >= self.capacity {
-            // Evict the least-recently-used *unpinned* frame. The map holds
-            // exactly one reference to an unpinned image, so any extra
-            // strong count is an outstanding PagePin.
-            let victim = self
-                .frames
-                .iter()
-                .filter(|(_, (image, _))| Arc::strong_count(image) == 1)
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(id, _)| *id);
-            if let Some(victim) = victim {
-                self.frames.remove(&victim);
-                self.stats.evictions += 1;
+        let f = match self.table.get(id.0 as usize) {
+            Some(&f) if f != NONE => {
+                self.stats.hits += 1;
+                if f != self.head {
+                    self.unlink(f);
+                    self.push_front(f);
+                }
+                f
             }
-            // All frames pinned: overflow capacity rather than drop a pin.
+            _ => {
+                self.stats.misses += 1;
+                self.load(pager, id)
+            }
+        };
+        &self.frames[f as usize].data
+    }
+
+    /// Reads a missing page into a frame — a fresh one while the pool has
+    /// room, else the least recently used — and makes it the most recent.
+    fn load(&mut self, pager: &Pager, id: PageId) -> u32 {
+        let page = id.0 as usize;
+        if page >= self.table.len() {
+            self.table.resize(pager.page_count().max(page + 1), NONE);
         }
-        let image: Arc<[u8]> = pager.read_page(id).into();
-        self.frames.insert(id, (image, tick));
+        let f = if self.frames.len() < self.capacity {
+            let data = pager.read_page(id);
+            self.frames.push(Frame { page: id, prev: NONE, next: NONE, data });
+            self.frames.len() as u32 - 1
+        } else {
+            let f = self.tail;
+            let victim = &mut self.frames[f as usize];
+            self.table[victim.page.0 as usize] = NONE;
+            self.stats.evictions += 1;
+            // The victim stays at the tail, unmapped, until the read lands:
+            // a read that panics leaves it there for the next miss to reuse,
+            // and no page ever maps to torn bytes.
+            pager.read_into(id, &mut victim.data);
+            victim.page = id;
+            self.unlink(f);
+            f
+        };
+        self.table[page] = f;
+        self.push_front(f);
+        f
+    }
+
+    fn unlink(&mut self, f: u32) {
+        let Frame { prev, next, .. } = self.frames[f as usize];
+        match prev {
+            NONE => self.head = next,
+            p => self.frames[p as usize].next = next,
+        }
+        match next {
+            NONE => self.tail = prev,
+            n => self.frames[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, f: u32) {
+        let old = self.head;
+        let frame = &mut self.frames[f as usize];
+        frame.prev = NONE;
+        frame.next = old;
+        match old {
+            NONE => self.tail = f,
+            h => self.frames[h as usize].prev = f,
+        }
+        self.head = f;
     }
 
     /// Access statistics so far.
@@ -123,14 +156,15 @@ impl BufferPool {
     }
 
     /// Clears cached pages and statistics (for cold-cache measurements).
-    /// Outstanding pins stay valid — they own their images.
     pub fn clear(&mut self) {
+        self.table.fill(NONE);
         self.frames.clear();
+        self.head = NONE;
+        self.tail = NONE;
         self.stats = PoolStats::default();
-        self.tick = 0;
     }
 
-    /// Number of resident pages.
+    /// Number of resident pages (never more than the capacity).
     pub fn resident(&self) -> usize {
         self.frames.len()
     }
@@ -139,6 +173,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn disk_with(n: usize) -> Pager {
         let mut pager = Pager::with_page_size(64);
@@ -202,53 +237,75 @@ mod tests {
         assert!((pool.stats().hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
+    /// The textbook LRU the pool must agree with, decision for decision:
+    /// a recency queue, most recent at the front, scanned linearly.
+    struct ReferenceLru {
+        capacity: usize,
+        queue: VecDeque<u32>,
+        stats: PoolStats,
+    }
+
+    impl ReferenceLru {
+        fn fetch(&mut self, page: u32) {
+            if let Some(at) = self.queue.iter().position(|&p| p == page) {
+                self.stats.hits += 1;
+                self.queue.remove(at);
+            } else {
+                self.stats.misses += 1;
+                if self.queue.len() == self.capacity {
+                    self.queue.pop_back();
+                    self.stats.evictions += 1;
+                }
+            }
+            self.queue.push_front(page);
+        }
+    }
+
     #[test]
-    fn pinned_page_survives_eviction_pressure() {
-        let pager = disk_with(4);
-        let mut pool = BufferPool::new(2);
-        let pin = pool.fetch_pin(&pager, PageId(0));
-        // Churn enough distinct pages through a 2-frame pool to evict
-        // everything unpinned several times over.
-        for round in 0..3 {
-            for i in 1..4u32 {
-                let _ = round;
-                pool.fetch(&pager, PageId(i));
+    fn pool_decides_exactly_like_a_reference_lru() {
+        const PAGES: usize = 64;
+        let mut pager = Pager::with_page_size(64);
+        let mut images = Vec::new();
+        for i in 0..PAGES {
+            let id = pager.alloc();
+            let img: Vec<u8> = (0..64).map(|b| (i * 7 + b) as u8).collect();
+            pager.write(id, &img);
+            images.push(img);
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..300 {
+            let capacity = 1 + next(16) as usize;
+            // Skewed page choice: a hot set small enough to hit, plus the
+            // full range to force evictions.
+            let hot = 1 + next(PAGES as u64);
+            let mut pool = BufferPool::new(capacity);
+            let mut reference =
+                ReferenceLru { capacity, queue: VecDeque::new(), stats: PoolStats::default() };
+            pager.reset_counters();
+            let mut reads = 0u64;
+            for step in 0..400 {
+                if next(97) == 0 {
+                    pool.clear();
+                    reference.queue.clear();
+                    reference.stats = PoolStats::default();
+                }
+                let page = if next(3) == 0 { next(PAGES as u64) } else { next(hot) } as u32;
+                let missed = reference.stats.misses;
+                reference.fetch(page);
+                reads += reference.stats.misses - missed;
+                let bytes = pool.fetch(&pager, PageId(page));
+                assert_eq!(bytes, &images[page as usize][..], "case {case} step {step}");
+                assert_eq!(pool.stats(), reference.stats, "case {case} step {step}");
+                assert_eq!(pager.reads(), reads, "case {case} step {step}");
+                assert_eq!(pool.resident(), reference.queue.len());
+                assert!(pool.resident() <= capacity);
             }
         }
-        // The pinned frame was never chosen as a victim...
-        let before = pager.reads();
-        pool.fetch(&pager, PageId(0));
-        assert_eq!(pager.reads(), before, "pinned page 0 stayed resident");
-        // ...and the pin's bytes are intact regardless.
-        assert_eq!(pin[0], 0);
-    }
-
-    #[test]
-    fn all_pinned_overflows_instead_of_evicting() {
-        let pager = disk_with(4);
-        let mut pool = BufferPool::new(2);
-        let p0 = pool.fetch_pin(&pager, PageId(0));
-        let p1 = pool.fetch_pin(&pager, PageId(1));
-        // Pool is full of pinned frames; a third fetch must not invalidate
-        // either pin.
-        let p2 = pool.fetch_pin(&pager, PageId(2));
-        assert_eq!(pool.resident(), 3, "pool overflowed rather than evict a pin");
-        assert_eq!(pool.stats().evictions, 0);
-        assert_eq!((p0[0], p1[0], p2[0]), (0, 1, 2));
-        drop(p0);
-        drop(p1);
-        // With pins released, a miss evicts normally again.
-        pool.fetch(&pager, PageId(3));
-        assert!(pool.stats().evictions >= 1);
-        drop(p2);
-    }
-
-    #[test]
-    fn pin_outlives_clear() {
-        let pager = disk_with(1);
-        let mut pool = BufferPool::new(1);
-        let pin = pool.fetch_pin(&pager, PageId(0));
-        pool.clear();
-        assert_eq!(pin[0], 0, "pin owns its image across clear()");
     }
 }

@@ -11,9 +11,9 @@
 //!   read/write counters, or a real `File` addressed with `pread`/`pwrite`,
 //!   optionally windowed to a byte region of a larger stream (how a `PLN1`
 //!   plane section embedded behind an `ITC1` stream is addressed).
-//! * [`BufferPool`] — LRU caching over a pager with hit/miss/eviction
-//!   statistics, and [`PagePin`] guards that keep a frame's bytes valid
-//!   even if the pool evicts it mid-probe.
+//! * [`BufferPool`] — exact-LRU caching over a pager with hit/miss/eviction
+//!   statistics, O(1) per fetch: a dense page table and an intrusive
+//!   recency list, with misses read in place into the evicted frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,5 +22,5 @@
 mod bufpool;
 mod pager;
 
-pub use bufpool::{BufferPool, PagePin, PoolStats};
+pub use bufpool::{BufferPool, PoolStats};
 pub use pager::{PageId, Pager, DEFAULT_PAGE_SIZE};

@@ -6,8 +6,8 @@
 //! substrate: a [`Pager`] is a page-granular disk — either an in-memory
 //! simulation with read/write counters, or a real `File` addressed with
 //! `pread`/`pwrite` (optionally windowed to a section of a larger stream) —
-//! and a [`BufferPool`] adds LRU caching with hit/miss statistics and
-//! [`PagePin`] guards that keep a frame's bytes valid across eviction.
+//! and a [`BufferPool`] adds exact-LRU caching, O(1) per fetch, with
+//! hit/miss statistics.
 //!
 //! Two layers build on it. The **paged query plane** in `tc-core`
 //! (`PagedPlane`) serves frozen-closure reachability straight from a `PLN1`
@@ -42,5 +42,5 @@ pub use btree::{BTreeDirectory, IndexedLabelStore};
 // The pager and buffer pool live in the dependency-free `tc-pager` crate
 // (so `tc-core`'s paged plane can use them without a cycle); re-exported
 // here unchanged.
-pub use tc_pager::{BufferPool, PageId, PagePin, Pager, PoolStats, DEFAULT_PAGE_SIZE};
+pub use tc_pager::{BufferPool, PageId, Pager, PoolStats, DEFAULT_PAGE_SIZE};
 pub use stores::{AdjStore, LabelStore, TcListStore};
