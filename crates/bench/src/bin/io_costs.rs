@@ -5,7 +5,8 @@
 //! traffic". This experiment serves the same random query mix from three
 //! page layouts — compressed interval labels, full-closure successor lists,
 //! and raw adjacency queried by pointer chasing — and counts page reads
-//! under a small LRU buffer pool and under a cold cache.
+//! under a small LRU buffer pool and under a cold cache. The three layouts
+//! must give the same answer to every query; a disagreement panics.
 //!
 //! Usage: `cargo run --release -p tc-bench --bin io_costs [--nodes 2000]
 //! [--degree 3] [--queries 2000] [--page 4096] [--pool 16]`
@@ -60,9 +61,7 @@ fn main() {
     // Compressed labels.
     let mut pool = BufferPool::new(pool_frames);
     labels.blob().pager().reset_counters();
-    for &(u, v) in &mix {
-        labels.reaches(u, v, &mut pool);
-    }
+    let answers: Vec<bool> = mix.iter().map(|&(u, v)| labels.reaches(u, v, &mut pool)).collect();
     table.row(&[
         "compressed labels".into(),
         labels.blob().page_count().to_string(),
@@ -74,8 +73,8 @@ fn main() {
     // Full-closure successor lists.
     let mut pool = BufferPool::new(pool_frames);
     tclists.blob().pager().reset_counters();
-    for &(u, v) in &mix {
-        tclists.reaches(u, v, &mut pool);
+    for (&(u, v), &want) in mix.iter().zip(&answers) {
+        assert_eq!(tclists.reaches(u, v, &mut pool), want, "closure lists ({u:?},{v:?})");
     }
     table.row(&[
         "full closure lists".into(),
@@ -88,8 +87,8 @@ fn main() {
     // Pointer chasing over adjacency.
     let mut pool = BufferPool::new(pool_frames);
     adj.blob().pager().reset_counters();
-    for &(u, v) in &mix {
-        adj.reaches(u, v, &mut pool);
+    for (&(u, v), &want) in mix.iter().zip(&answers) {
+        assert_eq!(adj.reaches(u, v, &mut pool), want, "pointer chasing ({u:?},{v:?})");
     }
     table.row(&[
         "adjacency (pointer chasing)".into(),

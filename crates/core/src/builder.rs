@@ -31,7 +31,6 @@ pub struct ClosureConfig {
     pub(crate) reserve: u64,
     pub(crate) merge_adjacent: bool,
     pub(crate) threads: usize,
-    pub(crate) auto_freeze: bool,
     pub(crate) scoped_deletes: bool,
     /// Buffer-pool pages for out-of-core freezes; 0 freezes in memory.
     pub(crate) paged_pool: usize,
@@ -52,7 +51,6 @@ impl Default for ClosureConfig {
             reserve: 0,
             merge_adjacent: false,
             threads: 1,
-            auto_freeze: false,
             scoped_deletes: true,
             paged_pool: 0,
             hybrid_threshold: usize::MAX,
@@ -150,16 +148,6 @@ impl ClosureConfig {
         self
     }
 
-    /// Freezes a [`crate::QueryPlane`] as soon as construction finishes, so
-    /// the closure starts out answering queries from the read-optimized
-    /// snapshot. [`CompressedClosure::rebuild`] inherits this, re-freezing
-    /// after every rebuild; incremental updates still invalidate the plane
-    /// (see DESIGN.md, "Frozen query plane") and do *not* re-freeze.
-    pub fn auto_freeze(mut self, enable: bool) -> Self {
-        self.auto_freeze = enable;
-        self
-    }
-
     /// Builds the compressed closure of `g`.
     ///
     /// Fails with a [`topo::CycleError`] if `g` is cyclic — wrap cyclic
@@ -220,10 +208,6 @@ impl ClosureConfig {
                 set.merge_adjacent();
             }
         }
-        let mut closure = CompressedClosure::from_parts(g.clone(), cover, lab, self);
-        if self.auto_freeze {
-            closure.freeze();
-        }
-        closure
+        CompressedClosure::from_parts(g.clone(), cover, lab, self)
     }
 }

@@ -312,9 +312,8 @@ impl CompressedClosure {
     /// Frozen, this is one O(k log m) stabbing query over the plane's
     /// inverted index. Mutable, it scans every interval
     /// set — O(n log k), softened by a single-interval fast path and split
-    /// across the configured worker threads; build a closure of the
-    /// reversed relation ([`crate::bidir::BiClosure`]) if mutable
-    /// predecessor queries dominate.
+    /// across the configured worker threads; call [`Self::freeze`] (again
+    /// after each batch of updates) if predecessor queries dominate.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
         if let Some(frozen) = &self.frozen {
             let mut out = Vec::new();

@@ -283,10 +283,12 @@ impl CompressedClosure {
 
         // Runtime-config footer: the knobs that are not closure *state* but
         // should survive a save/load cycle all the same (a service restored
-        // from disk wants its thread count and freeze policy back).
+        // from disk wants its thread count back). The byte after the thread
+        // count once carried a freeze-on-load flag; it is written as 0 and
+        // ignored on read, so the footer keeps its 13-byte layout.
         w.bytes(CONFIG_FOOTER)?;
         w.u64(self.config.threads as u64)?;
-        w.u8(self.config.auto_freeze as u8)?;
+        w.u8(0)?;
         if self.config.hybrid_threshold != usize::MAX {
             w.bytes(HYBRID_FOOTER)?;
             w.u64(self.config.hybrid_threshold as u64)?;
@@ -332,11 +334,10 @@ impl CompressedClosure {
             gap,
             reserve,
             merge_adjacent,
-            // Runtime knobs; restored from the config footer at the end of
-            // the stream when present, defaulting to serial and thawed for
-            // streams written before the footer existed.
+            // Runtime knob; restored from the config footer at the end of
+            // the stream when present, defaulting to serial for streams
+            // written before the footer existed.
             threads: 1,
-            auto_freeze: false,
             // Not serialized: scoped and global deletion recomputes yield
             // the same closure, so restored streams default to scoped.
             scoped_deletes: true,
@@ -479,7 +480,7 @@ impl CompressedClosure {
                 return Err(DecodeError::Corrupt("trailing bytes"));
             }
             config.threads = r.u64()? as usize;
-            config.auto_freeze = r.u8()? != 0;
+            r.u8()?; // retired freeze-on-load flag: read and ignored
             // Optional hybrid-threshold footer (absent when disabled).
             if !r.done() {
                 if r.take(4)? != HYBRID_FOOTER {
@@ -496,7 +497,7 @@ impl CompressedClosure {
             }
         }
 
-        let mut closure = CompressedClosure::from_parts(
+        Ok(CompressedClosure::from_parts(
             graph,
             cover,
             Labeling {
@@ -508,13 +509,7 @@ impl CompressedClosure {
                 reserve: lab_reserve,
             },
             config,
-        );
-        // An auto-freezing closure is never observed thawed; restore that
-        // property immediately, exactly as `ClosureConfig::build` does.
-        if closure.config().auto_freeze {
-            closure.freeze();
-        }
-        Ok(closure)
+        ))
     }
 }
 
@@ -716,14 +711,32 @@ mod tests {
             avg_out_degree: 2.0,
             seed: 9,
         });
-        let c = ClosureConfig::new().threads(3).auto_freeze(true).build(&g).unwrap();
-        assert!(c.is_frozen());
+        let c = ClosureConfig::new().threads(3).build(&g).unwrap();
         let back = CompressedClosure::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(back.config().threads, 3);
-        assert!(back.config().auto_freeze);
-        assert!(back.is_frozen(), "auto-freeze restores the frozen plane on decode");
         back.verify().unwrap();
         assert_eq!(back.to_bytes(), c.to_bytes(), "footer re-serialization is stable");
+    }
+
+    #[test]
+    fn retired_freeze_flag_is_read_and_ignored() {
+        // Streams written while the footer's flag byte (after the thread
+        // count) could be 1 still decode: thawed, answering like the original.
+        let c = sample();
+        let mut bytes = c.to_bytes();
+        let flag = bytes.len() - 8 - 1;
+        assert_eq!(&bytes[flag - 12..flag - 8], CONFIG_FOOTER);
+        assert_eq!(bytes[flag], 0, "the flag is written as 0");
+        bytes[flag] = 1;
+        refix(&mut bytes);
+        let back = CompressedClosure::from_bytes(&bytes).unwrap();
+        assert!(!back.is_frozen(), "the flag no longer freezes on decode");
+        back.verify().unwrap();
+        for u in c.graph().nodes() {
+            assert_eq!(back.successors(u), c.successors(u));
+            assert_eq!(back.predecessors(u), c.predecessors(u));
+        }
+        assert_eq!(back.to_bytes(), c.to_bytes(), "re-encodes with the flag cleared");
     }
 
     #[test]
@@ -740,7 +753,6 @@ mod tests {
         let back = CompressedClosure::from_bytes(&old).unwrap();
         back.verify().unwrap();
         assert_eq!(back.config().threads, 1, "old streams default to serial");
-        assert!(!back.config().auto_freeze);
         assert!(!back.is_frozen());
         for v in c.graph().nodes() {
             assert_eq!(c.intervals(v), back.intervals(v));

@@ -3,7 +3,8 @@
 //! "The techniques presented in this paper can also be extended to cyclic
 //! graphs by collapsing strongly connected components into one node" (§3).
 //! [`CyclicClosure`] wraps a [`CompressedClosure`] built over the
-//! condensation and translates queries through the component mapping.
+//! condensation, translates queries through the component mapping, and
+//! keeps both up to date under arc and node updates.
 
 use tc_graph::scc::{condense, Condensation};
 use tc_graph::{DiGraph, NodeId};
@@ -11,79 +12,7 @@ use tc_graph::{DiGraph, NodeId};
 use crate::{ClosureConfig, CompressedClosure};
 
 /// A compressed transitive closure over an arbitrary (possibly cyclic)
-/// directed graph.
-///
-/// ```
-/// use tc_graph::{DiGraph, NodeId};
-/// use tc_core::cyclic::CyclicClosure;
-///
-/// // 0 <-> 1 form a cycle feeding 2.
-/// let g = DiGraph::from_edges([(0, 1), (1, 0), (1, 2)]);
-/// let c = CyclicClosure::build(&g);
-/// assert!(c.reaches(NodeId(0), NodeId(1)));
-/// assert!(c.reaches(NodeId(1), NodeId(0)));
-/// assert!(c.reaches(NodeId(0), NodeId(2)));
-/// assert!(!c.reaches(NodeId(2), NodeId(0)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct CyclicClosure {
-    condensation: Condensation,
-    inner: CompressedClosure,
-}
-
-impl CyclicClosure {
-    /// Builds the closure of `g` with the default configuration.
-    pub fn build(g: &DiGraph) -> Self {
-        Self::build_with(g, ClosureConfig::default())
-    }
-
-    /// Builds the closure of `g` with an explicit configuration.
-    pub fn build_with(g: &DiGraph, config: ClosureConfig) -> Self {
-        let condensation = condense(g);
-        let inner = config
-            .build(&condensation.dag)
-            .expect("condensation is acyclic by construction");
-        CyclicClosure {
-            condensation,
-            inner,
-        }
-    }
-
-    /// Whether `src` reaches `dst` (reflexive).
-    pub fn reaches(&self, src: NodeId, dst: NodeId) -> bool {
-        let cs = self.condensation.node_of(src);
-        let cd = self.condensation.node_of(dst);
-        self.inner.reaches(cs, cd)
-    }
-
-    /// Whether `a` and `b` are mutually reachable (same SCC).
-    pub fn mutually_reachable(&self, a: NodeId, b: NodeId) -> bool {
-        self.condensation.node_of(a) == self.condensation.node_of(b)
-    }
-
-    /// All original nodes reachable from `node` (including its own SCC).
-    pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        let comp = self.condensation.node_of(node);
-        let mut out = Vec::new();
-        for c in self.inner.successors(comp) {
-            out.extend_from_slice(self.condensation.members_of(c));
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The underlying closure over the condensation DAG.
-    pub fn inner(&self) -> &CompressedClosure {
-        &self.inner
-    }
-
-    /// The condensation mapping.
-    pub fn condensation(&self) -> &Condensation {
-        &self.condensation
-    }
-}
-
-/// A cyclic-graph closure that absorbs updates.
+/// directed graph that absorbs updates.
 ///
 /// Inter-component updates ride the §4 incremental machinery of the inner
 /// DAG closure; updates that change the component structure itself (an arc
@@ -94,9 +23,15 @@ impl CyclicClosure {
 ///
 /// ```
 /// use tc_graph::{DiGraph, NodeId};
-/// use tc_core::cyclic::DynamicCyclicClosure;
+/// use tc_core::cyclic::CyclicClosure;
 ///
-/// let mut c = DynamicCyclicClosure::build(&DiGraph::with_nodes(3));
+/// // 0 <-> 1 form a cycle feeding 2.
+/// let c = CyclicClosure::build(&DiGraph::from_edges([(0, 1), (1, 0), (1, 2)]));
+/// assert!(c.reaches(NodeId(1), NodeId(0)));
+/// assert!(c.reaches(NodeId(0), NodeId(2)));
+/// assert!(!c.reaches(NodeId(2), NodeId(0)));
+///
+/// let mut c = CyclicClosure::build(&DiGraph::with_nodes(3));
 /// c.add_edge(NodeId(0), NodeId(1));
 /// c.add_edge(NodeId(1), NodeId(2));
 /// c.add_edge(NodeId(2), NodeId(0)); // closes a cycle: components merge
@@ -106,7 +41,7 @@ impl CyclicClosure {
 /// assert!(c.reaches(NodeId(0), NodeId(2)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct DynamicCyclicClosure {
+pub struct CyclicClosure {
     /// The original (possibly cyclic) relation.
     graph: DiGraph,
     condensation: Condensation,
@@ -114,7 +49,7 @@ pub struct DynamicCyclicClosure {
     config: ClosureConfig,
 }
 
-impl DynamicCyclicClosure {
+impl CyclicClosure {
     /// Builds from an arbitrary directed graph.
     pub fn build(g: &DiGraph) -> Self {
         Self::build_with(g, ClosureConfig::default())
@@ -126,7 +61,7 @@ impl DynamicCyclicClosure {
         let inner = config
             .build(&condensation.dag)
             .expect("condensation is acyclic");
-        DynamicCyclicClosure {
+        CyclicClosure {
             graph: g.clone(),
             condensation,
             inner,
@@ -230,7 +165,7 @@ impl DynamicCyclicClosure {
             let truth = tc_graph::traverse::reachable_set(&self.graph, u);
             for v in self.graph.nodes() {
                 if self.reaches(u, v) != truth.contains(v.index()) {
-                    return Err(format!("dynamic cyclic closure wrong on ({u:?},{v:?})"));
+                    return Err(format!("cyclic closure wrong on ({u:?},{v:?})"));
                 }
             }
         }
@@ -256,8 +191,6 @@ mod tests {
             assert!(c.reaches(NodeId(a), NodeId(3)));
             assert!(!c.reaches(NodeId(3), NodeId(a)));
         }
-        let succ = c.successors(NodeId(1));
-        assert_eq!(succ, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
@@ -301,7 +234,7 @@ mod tests {
 
     #[test]
     fn dynamic_cycle_formation_and_dissolution() {
-        let mut c = DynamicCyclicClosure::build(&DiGraph::with_nodes(4));
+        let mut c = CyclicClosure::build(&DiGraph::with_nodes(4));
         assert!(c.add_edge(NodeId(0), NodeId(1)));
         assert!(c.add_edge(NodeId(1), NodeId(2)));
         assert!(!c.mutually_reachable(NodeId(0), NodeId(2)));
@@ -325,7 +258,7 @@ mod tests {
     fn dynamic_parallel_component_arcs() {
         // Two original arcs spanning the same component pair: removing one
         // must keep reachability; removing both must drop it.
-        let mut c = DynamicCyclicClosure::build(&DiGraph::with_nodes(4));
+        let mut c = CyclicClosure::build(&DiGraph::with_nodes(4));
         // Component {0,1} via 2-cycle, arcs 0->2 and 1->2... wait, 0 and 1
         // mutually: 0->1, 1->0.
         c.add_edge(NodeId(0), NodeId(1));
@@ -342,7 +275,7 @@ mod tests {
 
     #[test]
     fn dynamic_add_node() {
-        let mut c = DynamicCyclicClosure::build(&DiGraph::from_edges([(0, 1)]));
+        let mut c = CyclicClosure::build(&DiGraph::from_edges([(0, 1)]));
         let n = c.add_node();
         assert!(c.reaches(n, n));
         c.add_edge(NodeId(1), n);
@@ -363,7 +296,7 @@ mod tests {
                     g.add_edge(NodeId(a), NodeId(b));
                 }
             }
-            let mut c = DynamicCyclicClosure::build(&g);
+            let mut c = CyclicClosure::build(&g);
             for step in 0..60 {
                 let a = NodeId(rng.random_range(0..c.graph().node_count() as u32));
                 let b = NodeId(rng.random_range(0..c.graph().node_count() as u32));
@@ -395,7 +328,6 @@ mod tests {
         let g = DiGraph::from_edges([(0, 1), (1, 0)]);
         let c = CyclicClosure::build(&g);
         assert!(c.reaches(NodeId(0), NodeId(1)));
-        assert_eq!(c.inner().node_count(), 1);
-        assert_eq!(c.successors(NodeId(0)), vec![NodeId(0), NodeId(1)]);
+        assert!(c.mutually_reachable(NodeId(0), NodeId(1)));
     }
 }

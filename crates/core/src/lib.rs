@@ -68,7 +68,6 @@ mod parallel;
 mod propagate;
 mod stats;
 
-pub mod bidir;
 pub mod bruteforce;
 pub mod codec;
 pub mod cyclic;

@@ -7,8 +7,6 @@
 //! successor lists) cost proportionally many, which is precisely the effect
 //! the experiments measure.
 
-use bytes::BufMut;
-
 use crate::{BufferPool, PageId, Pager};
 
 /// A read-optimized store of per-node byte records on the simulated disk.
@@ -26,7 +24,7 @@ impl BlobStore {
         let mut directory = Vec::with_capacity(records.len());
         for rec in records {
             directory.push((stream.len() as u64, rec.len() as u32));
-            stream.put_slice(rec);
+            stream.extend_from_slice(rec);
         }
 
         let mut pager = Pager::with_page_size(page_size);
@@ -38,11 +36,6 @@ impl BlobStore {
         }
         pager.reset_counters();
         BlobStore { pager, directory }
-    }
-
-    /// Number of records.
-    pub fn record_count(&self) -> usize {
-        self.directory.len()
     }
 
     /// Byte length of record `ix`.

@@ -21,12 +21,9 @@
 //!   a membership query scans a list that may span many pages.
 //! * [`AdjStore`] — the base relation's adjacency lists; answering by
 //!   pointer chasing reads one record per visited node.
-//! * [`IndexedLabelStore`] — the fully cold variant: a page-resident
-//!   [`BTreeDirectory`] replaces the in-memory record directory, so a
-//!   query's *entire* access path (directory descent + record pages) is
-//!   counted I/O.
 //!
-//! The `io_costs` experiment binary in `tc-bench` drives all three over the
+//! Records are plain little-endian integers encoded with `std` alone. The
+//! `io_costs` experiment binary in `tc-bench` drives all three over the
 //! same query mix.
 
 #![forbid(unsafe_code)]
@@ -34,11 +31,9 @@
 #![warn(rust_2018_idioms)]
 
 mod blob;
-mod btree;
 mod stores;
 
 pub use blob::BlobStore;
-pub use btree::{BTreeDirectory, IndexedLabelStore};
 // The pager and buffer pool live in the dependency-free `tc-pager` crate
 // (so `tc-core`'s paged plane can use them without a cycle); re-exported
 // here unchanged.

@@ -1,10 +1,30 @@
 //! Page-resident reachability stores.
+//!
+//! Every record is a little-endian `u32` entry count followed by its
+//! entries: `(lo, hi)` endpoint pairs for labels, node ids for lists.
 
-use bytes::{Buf, BufMut};
 use tc_core::CompressedClosure;
 use tc_graph::{BitSet, DiGraph, NodeId};
 
 use crate::{BlobStore, BufferPool};
+
+/// Encodes a record: the entry count, then each `u32` entry.
+fn u32_record(count: usize, entries: impl IntoIterator<Item = u32>) -> Vec<u8> {
+    let mut rec = (count as u32).to_le_bytes().to_vec();
+    for e in entries {
+        rec.extend_from_slice(&e.to_le_bytes());
+    }
+    rec
+}
+
+/// The entries of a record, each `width` bytes wide, count prefix skipped.
+fn entries(rec: &[u8], width: usize) -> impl Iterator<Item = u64> + '_ {
+    rec[4..].chunks_exact(width).map(|field| {
+        let mut le = [0u8; 8];
+        le[..field.len()].copy_from_slice(field);
+        u64::from_le_bytes(le)
+    })
+}
 
 /// The compressed closure on disk: one interval-list record per node, plus
 /// an in-memory postorder index (the analogue of a key index a DBMS would
@@ -16,10 +36,11 @@ use crate::{BlobStore, BufferPool};
 pub struct LabelStore {
     blob: BlobStore,
     post: Vec<u64>,
-    /// Whether endpoints are stored as u64 (`true`) or u32 (`false`). A
-    /// closure built with `gap(1)` — the natural choice for a static disk
-    /// image — fits in u32, matching the 4-byte entries of successor lists.
-    wide: bool,
+    /// Bytes per stored endpoint: 8 (u64), or 4 (u32) when every endpoint
+    /// fits. A closure built with `gap(1)` — the natural choice for a static
+    /// disk image — fits in u32, matching the 4-byte entries of successor
+    /// lists.
+    width: usize,
 }
 
 impl LabelStore {
@@ -31,21 +52,17 @@ impl LabelStore {
             .graph()
             .nodes()
             .any(|v| closure.intervals(v).iter().any(|iv| iv.hi() > u32::MAX as u64));
+        let width = if wide { 8 } else { 4 };
         let mut records = Vec::with_capacity(n);
         let mut post = Vec::with_capacity(n);
         for v in closure.graph().nodes() {
             post.push(closure.post_number(v));
             let set = closure.intervals(v);
-            let width = if wide { 16 } else { 8 };
-            let mut rec = Vec::with_capacity(4 + width * set.count());
-            rec.put_u32_le(set.count() as u32);
+            let mut rec = Vec::with_capacity(4 + 2 * width * set.count());
+            rec.extend_from_slice(&(set.count() as u32).to_le_bytes());
             for iv in set.iter() {
-                if wide {
-                    rec.put_u64_le(iv.lo());
-                    rec.put_u64_le(iv.hi());
-                } else {
-                    rec.put_u32_le(iv.lo() as u32);
-                    rec.put_u32_le(iv.hi() as u32);
+                for end in [iv.lo(), iv.hi()] {
+                    rec.extend_from_slice(&end.to_le_bytes()[..width]);
                 }
             }
             records.push(rec);
@@ -53,7 +70,7 @@ impl LabelStore {
         LabelStore {
             blob: BlobStore::build(&records, page_size),
             post,
-            wide,
+            width,
         }
     }
 
@@ -61,14 +78,8 @@ impl LabelStore {
     pub fn reaches(&self, src: NodeId, dst: NodeId, pool: &mut BufferPool) -> bool {
         let target = self.post[dst.index()];
         let rec = self.blob.read(src.index(), pool);
-        let mut buf = rec.as_slice();
-        let count = buf.get_u32_le();
-        for _ in 0..count {
-            let (lo, hi) = if self.wide {
-                (buf.get_u64_le(), buf.get_u64_le())
-            } else {
-                (buf.get_u32_le() as u64, buf.get_u32_le() as u64)
-            };
+        let mut ends = entries(&rec, self.width);
+        while let (Some(lo), Some(hi)) = (ends.next(), ends.next()) {
             if lo <= target && target <= hi {
                 return true;
             }
@@ -103,12 +114,7 @@ impl TcListStore {
                     .filter(|&v| v != ix)
                     .map(|v| v as u32)
                     .collect();
-                let mut rec = Vec::with_capacity(4 + 4 * succ.len());
-                rec.put_u32_le(succ.len() as u32);
-                for s in succ {
-                    rec.put_u32_le(s);
-                }
-                rec
+                u32_record(succ.len(), succ)
             })
             .collect();
         TcListStore {
@@ -123,13 +129,8 @@ impl TcListStore {
             return true;
         }
         let rec = self.blob.read(src.index(), pool);
-        let mut buf = rec.as_slice();
-        let count = buf.get_u32_le() as usize;
-        let mut succ = Vec::with_capacity(count);
-        for _ in 0..count {
-            succ.push(buf.get_u32_le());
-        }
-        succ.binary_search(&dst.0).is_ok()
+        let succ: Vec<u64> = entries(&rec, 4).collect();
+        succ.binary_search(&(dst.0 as u64)).is_ok()
     }
 
     /// The underlying record store.
@@ -154,12 +155,7 @@ impl AdjStore {
             .nodes()
             .map(|v| {
                 let succ = g.successors(v);
-                let mut rec = Vec::with_capacity(4 + 4 * succ.len());
-                rec.put_u32_le(succ.len() as u32);
-                for s in succ {
-                    rec.put_u32_le(s.0);
-                }
-                rec
+                u32_record(succ.len(), succ.iter().map(|s| s.0))
             })
             .collect();
         AdjStore {
@@ -178,10 +174,8 @@ impl AdjStore {
         let mut stack = vec![src];
         while let Some(node) = stack.pop() {
             let rec = self.blob.read(node.index(), pool);
-            let mut buf = rec.as_slice();
-            let count = buf.get_u32_le();
-            for _ in 0..count {
-                let succ = NodeId(buf.get_u32_le());
+            for succ in entries(&rec, 4) {
+                let succ = NodeId(succ as u32);
                 if succ == dst {
                     return true;
                 }

@@ -1,13 +1,14 @@
 //! Course prerequisites: bidirectional reachability and path witnesses.
 //!
 //! A prerequisite DAG queried in both directions — "what must I take before
-//! X?" (predecessors) and "what does X unlock?" (successors) — using
-//! [`tc_core::bidir::BiClosure`], plus concrete prerequisite chains via
-//! `find_path`.
+//! X?" (predecessors) and "what does X unlock?" (successors) — over one
+//! [`tc_core::CompressedClosure`], plus concrete prerequisite chains via
+//! `find_path`. Freezing the closure answers predecessors by one stabbing
+//! query over the frozen plane's inverted interval index.
 //!
 //! Run with: `cargo run -p tc-suite --example course_prereqs`
 
-use tc_core::bidir::BiClosure;
+use tc_core::CompressedClosure;
 use tc_graph::{DiGraph, NodeId};
 
 fn main() {
@@ -36,12 +37,13 @@ fn main() {
         (7, 8), // algo -> ml
         (8, 9), // ml -> dl
     ]);
-    let bi = BiClosure::build(&g).expect("prerequisites are acyclic");
+    let mut tc = CompressedClosure::build(&g).expect("prerequisites are acyclic");
+    tc.freeze();
 
     let name = |v: NodeId| courses[v.index()];
 
-    // Everything required before machine learning (reverse closure decode).
-    let mut before: Vec<&str> = bi
+    // Everything required before machine learning (stabbing-index decode).
+    let mut before: Vec<&str> = tc
         .predecessors(NodeId(8))
         .into_iter()
         .filter(|&v| v != NodeId(8))
@@ -51,7 +53,7 @@ fn main() {
     println!("required before machine-learn: {before:?}");
 
     // Everything calculus-1 unlocks (forward decode).
-    let mut unlocks: Vec<&str> = bi
+    let mut unlocks: Vec<&str> = tc
         .successors(NodeId(0))
         .into_iter()
         .filter(|&v| v != NodeId(0))
@@ -62,32 +64,32 @@ fn main() {
 
     // A concrete prerequisite chain, reconstructed by greedy descent over
     // the closure (no backtracking).
-    let path = bi
-        .forward()
+    let path = tc
         .find_path(NodeId(0), NodeId(9))
         .expect("calc1 leads to deep learning");
     let chain: Vec<&str> = path.into_iter().map(name).collect();
     println!("one chain from calculus-1 to deep-learning: {}", chain.join(" -> "));
 
-    // Curriculum change: a new cross-listed course slots in incrementally.
-    let mut bi = bi;
-    let optimization = bi
+    // Curriculum change: a new cross-listed course slots in incrementally
+    // (an update thaws the closure; refreeze for indexed predecessors).
+    let optimization = tc
         .add_node_with_parents(&[NodeId(1), NodeId(2)]) // needs calc2 + linalg
         .expect("valid parents");
-    bi.add_edge(optimization, NodeId(8)).expect("acyclic");
+    tc.add_edge(optimization, NodeId(8)).expect("acyclic");
+    tc.freeze();
     println!(
         "\nafter adding 'optimization' (calc2 + linalg -> optimization -> ml):"
     );
     println!(
         "  is calculus-1 now a prerequisite of it? {}",
-        bi.reaches(NodeId(0), optimization)
+        tc.reaches(NodeId(0), optimization)
     );
     println!(
         "  does it feed deep-learning? {}",
-        bi.reaches(optimization, NodeId(9))
+        tc.reaches(optimization, NodeId(9))
     );
     println!(
         "  prerequisites of ml now number {}",
-        bi.predecessor_count(NodeId(8)) - 1
+        tc.predecessors(NodeId(8)).len() - 1
     );
 }

@@ -117,7 +117,7 @@ fn schubert_is_sound_but_incomplete() {
 fn dynamic_cyclic_closure_matches_warshall_under_churn() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tc_core::cyclic::DynamicCyclicClosure;
+    use tc_core::cyclic::CyclicClosure;
 
     let mut rng = StdRng::seed_from_u64(6);
     for seed in 0..3 {
@@ -130,7 +130,7 @@ fn dynamic_cyclic_closure_matches_warshall_under_churn() {
                 g.add_edge(tc_graph::NodeId(a), tc_graph::NodeId(b));
             }
         }
-        let mut dynamic = DynamicCyclicClosure::build(&g);
+        let mut dynamic = CyclicClosure::build(&g);
         for step in 0..50 {
             let a = tc_graph::NodeId(rng.random_range(0..15u32));
             let b = tc_graph::NodeId(rng.random_range(0..15u32));

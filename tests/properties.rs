@@ -268,21 +268,6 @@ proptest! {
         }
     }
 
-    /// The bidirectional closure's predecessor decode equals the forward
-    /// closure's predecessor scan.
-    #[test]
-    fn bidir_predecessors_match_scan(g in arb_dag(10)) {
-        let bi = tc_core::bidir::BiClosure::build(&g).unwrap();
-        for v in g.nodes() {
-            let mut fast = bi.predecessors(v);
-            fast.sort_unstable();
-            let mut scan = bi.forward().predecessors(v);
-            scan.sort_unstable();
-            prop_assert_eq!(fast, scan);
-        }
-        bi.verify().unwrap();
-    }
-
     /// Level-parallel builds are *identical* to serial builds — same tree
     /// cover, same postorder numbers, bit-identical interval sets — on
     /// arbitrary DAGs across the gap/reserve/merge configuration space (see
