@@ -29,9 +29,15 @@
 //!
 //! Writes `results/kb_scale.csv` with one row per window: streaming
 //! ingestion throughput (ops/s over the socket, closed loop), cumulative
-//! fact/concept/derived counts, and p50/p95 `ask` round-trip latency (µs).
-//! Every rate and latency counts only the wire round trips; the mirror's
-//! work and the generator's bookkeeping between requests are left out.
+//! fact/concept/derived counts, p50/p95 `ask` round-trip latency (µs), the
+//! median assert and retract round trips next to the mirror's own median
+//! time for the same commands (the wire-vs-bare split), and the views
+//! published and snapshots frozen during the window. Every rate and wire
+//! latency counts only the wire round trips; the mirror's work and the
+//! generator's bookkeeping between requests are left out of them.
+//!
+//! Shard writers freeze only when a publish asks, so a window may freeze
+//! at most `publishes x shards` snapshots; more fails the run too.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -57,6 +63,15 @@ struct WindowCell {
     asks_per_s: f64,
     p50_us: u64,
     p95_us: u64,
+    /// Median mutation round trip over the wire, asserts then retracts.
+    wire_p50_us: [u64; 2],
+    /// Median time the bare mirror `KnowledgeBase` took for the same
+    /// mutations, asserts then retracts.
+    bare_p50_us: [u64; 2],
+    /// Views the daemon published during the window.
+    publishes: u64,
+    /// Snapshots its shard writers froze during the window.
+    freezes: u64,
 }
 
 /// The bench's view of the knowledge base: the wire client, the in-process
@@ -70,6 +85,8 @@ struct Harness {
     mismatches: u64,
     /// Time spent in wire round trips since the caller last reset it.
     wire: Duration,
+    /// The last step's wire round trip and mirror execution times.
+    last: (Duration, Duration),
 }
 
 impl Harness {
@@ -79,9 +96,12 @@ impl Harness {
     fn step(&mut self, wire_line: &str, mirror_line: &str) -> String {
         let sent = Instant::now();
         let got = self.client.request(wire_line).expect("daemon answered");
-        self.wire += sent.elapsed();
+        let wire = sent.elapsed();
+        self.wire += wire;
         let cmd = KbCommand::parse(mirror_line).expect("bench emits well-formed commands");
+        let started = Instant::now();
         let want = cmd.execute(&mut self.mirror).expect("mirror accepts the command");
+        self.last = (wire, started.elapsed());
         if got != format!("ok {want}") {
             self.mismatches += 1;
             eprintln!("DIVERGENCE: {wire_line:?} -> wire {got:?}, mirror {want:?}");
@@ -127,6 +147,7 @@ fn main() {
         names: Vec::new(),
         mismatches: 0,
         wire: Duration::ZERO,
+        last: (Duration::ZERO, Duration::ZERO),
     };
 
     // The rule set: lift part-hood through subsumption in both directions.
@@ -142,10 +163,16 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cells: Vec<WindowCell> = Vec::new();
+    let mut overfrozen = 0;
     for window in 0..windows {
+        let before = server.engine().stats();
         h.wire = Duration::ZERO;
+        // Mutation times in µs, [assert, retract] x [wire, bare mirror].
+        let mut split: [[Vec<u64>; 2]; 2] = Default::default();
         for _ in 0..ops_per_window {
-            ingest_op(&mut h, &mut rng, layers, width, retract_pct);
+            let verb = usize::from(ingest_op(&mut h, &mut rng, layers, width, retract_pct));
+            split[verb][0].push(h.last.0.as_micros() as u64);
+            split[verb][1].push(h.last.1.as_micros() as u64);
         }
         let ingest_s = h.wire.as_secs_f64();
 
@@ -155,15 +182,15 @@ fn main() {
             query_op(&mut h, &mut rng, &mut lat);
         }
         let query_s = h.wire.as_secs_f64();
-        lat.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if lat.is_empty() {
-                return 0;
-            }
-            lat[((lat.len() - 1) as f64 * p).round() as usize]
-        };
 
         h.gate(window);
+        let after = server.engine().stats();
+        let (publishes, freezes) =
+            (after.publishes - before.publishes, after.freezes - before.freezes);
+        if freezes > publishes * shards as u64 {
+            overfrozen += 1;
+            eprintln!("FAIL: window {window} froze {freezes} snapshots for {publishes} publishes");
+        }
         let stats = h.mirror.stats();
         let cell = WindowCell {
             window,
@@ -175,19 +202,28 @@ fn main() {
             overdeleted: stats.overdeleted,
             queries: lat.len() as u64,
             asks_per_s: lat.len() as f64 / query_s,
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
+            p50_us: percentile(&mut lat, 0.50),
+            p95_us: percentile(&mut lat, 0.95),
+            wire_p50_us: split.each_mut().map(|v| percentile(&mut v[0], 0.5)),
+            bare_p50_us: split.each_mut().map(|v| percentile(&mut v[1], 0.5)),
+            publishes,
+            freezes,
         };
         eprintln!(
             "window {}: {:>7.0} ops/s ingest, {} live facts, {} derived (cum), \
-             {:>7.0} asks/s, p50 {}us p95 {}us, gate ok",
+             {:>7.0} asks/s, p50 {}us p95 {}us, assert/retract p50 {:?}us wire \
+             vs {:?}us bare, {} publishes, {} freezes, gate ok",
             cell.window,
             cell.ops_per_s,
             cell.facts,
             cell.derived,
             cell.asks_per_s,
             cell.p50_us,
-            cell.p95_us
+            cell.p95_us,
+            cell.wire_p50_us,
+            cell.bare_p50_us,
+            cell.publishes,
+            cell.freezes
         );
         cells.push(cell);
     }
@@ -214,6 +250,12 @@ fn main() {
             "asks_per_s",
             "ask_p50_us",
             "ask_p95_us",
+            "assert_p50_us",
+            "retract_p50_us",
+            "bare_assert_p50_us",
+            "bare_retract_p50_us",
+            "publishes",
+            "freezes",
             "mismatches",
         ],
     );
@@ -230,19 +272,38 @@ fn main() {
             format!("{:.0}", c.asks_per_s),
             c.p50_us.to_string(),
             c.p95_us.to_string(),
+            c.wire_p50_us[0].to_string(),
+            c.wire_p50_us[1].to_string(),
+            c.bare_p50_us[0].to_string(),
+            c.bare_p50_us[1].to_string(),
+            c.publishes.to_string(),
+            c.freezes.to_string(),
             h.mismatches.to_string(),
         ]);
     }
     table.finish("kb_scale");
 
-    if h.mismatches > 0 || caught > 0 {
-        eprintln!("FAIL: {} wire/mirror divergences, {caught} handler panics", h.mismatches);
+    if h.mismatches > 0 || caught > 0 || overfrozen > 0 {
+        eprintln!(
+            "FAIL: {} wire/mirror divergences, {caught} handler panics, \
+             {overfrozen} windows froze more than once per shard per publish",
+            h.mismatches
+        );
         std::process::exit(1);
     }
     println!(
         "every wire answer matched the mirror and the naive re-derivation gate \
          held after all {windows} windows"
     );
+}
+
+/// The `p`-quantile of `v` (sorted in place); 0 when `v` is empty.
+fn percentile(v: &mut [u64], p: f64) -> u64 {
+    v.sort_unstable();
+    match v.len() {
+        0 => 0,
+        n => v[((n - 1) as f64 * p).round() as usize],
+    }
 }
 
 /// Concept name at (layer, slot): the stream points strictly from higher to
@@ -253,7 +314,14 @@ fn name(layer: usize, slot: usize) -> String {
 
 /// One streamed mutation: mostly downhill asserts, `retract_pct` percent
 /// retracts of a still-asserted fact (exercising DRed over the wire).
-fn ingest_op(h: &mut Harness, rng: &mut StdRng, layers: usize, width: usize, retract_pct: u64) {
+/// Returns whether it was a retract.
+fn ingest_op(
+    h: &mut Harness,
+    rng: &mut StdRng,
+    layers: usize,
+    width: usize,
+    retract_pct: u64,
+) -> bool {
     if !h.live.is_empty() && rng.random_range(0..100u64) < retract_pct {
         let ix = rng.random_range(0..h.live.len());
         let (pred, a, b) = h.live.iter().nth(ix).expect("index in range").clone();
@@ -262,7 +330,7 @@ fn ingest_op(h: &mut Harness, rng: &mut StdRng, layers: usize, width: usize, ret
         // `removed` and `kept-derived` both leave the fact un-asserted.
         assert!(resp.starts_with("ok"), "retract of a live fact failed: {resp:?}");
         h.live.remove(&(pred, a, b));
-        return;
+        return true;
     }
     let hi = rng.random_range(1..layers);
     let lo = rng.random_range(0..hi);
@@ -281,6 +349,7 @@ fn ingest_op(h: &mut Harness, rng: &mut StdRng, layers: usize, width: usize, ret
         }
     }
     h.live.insert((pred, a, b));
+    false
 }
 
 /// One timed `ask` probe over known concepts; the answer is still checked

@@ -13,13 +13,16 @@
 //!   nothing beyond their own result.
 //! * `ClosureService` is one shard's writer: a background thread owning
 //!   the mutable closure. Submitted [`ServiceOp`]s queue up FIFO; each
-//!   round drains the whole queue, applies it with the §4 update routines,
-//!   optionally audits, and freezes a fresh snapshot.
+//!   round drains the whole queue and applies it with the §4 update
+//!   routines. The writer freezes a fresh snapshot only on demand: when a
+//!   flush has asked for one and the queue is drained, or on close while
+//!   it still holds unfrozen ops. A burst of writes between two publishes
+//!   therefore costs one freeze, not one per round.
 //!
 //! A writer publishes nothing to readers on its own. Readers see only what
 //! [`ShardedService::flush`](crate::ShardedService::flush) publishes: it
-//! waits until every shard writer has drained, takes each one's latest
-//! snapshot, and swaps them in together as one view stamped with the
+//! asks every shard writer to freeze what it has applied, waits for those
+//! snapshots, and swaps them in together as one view stamped with the
 //! prefix of submitted ops it reflects. Every answer a reader can observe
 //! is therefore the truth of *some* prefix of the submission order — the
 //! invariant the snapshot-consistency stress test checks against a DFS
@@ -83,8 +86,8 @@ pub enum ServiceOp {
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Run the O(n + intervals) structural audit on the mutable closure
-    /// after every writer round, before freezing. Defaults to on in debug
-    /// builds; the first violation is reported in
+    /// before every freeze. Defaults to on in debug builds; the first
+    /// violation is reported in
     /// [`ShardedStats::audit_violation`](crate::ShardedStats::audit_violation)
     /// (the tainted state is still frozen — the audit is a tripwire, not a
     /// rollback).
@@ -103,7 +106,7 @@ impl ServiceConfig {
         Self::default()
     }
 
-    /// Enables or disables the per-round structural audit.
+    /// Enables or disables the pre-freeze structural audit.
     pub fn audit(mut self, enable: bool) -> Self {
         self.audit = enable;
         self
@@ -291,30 +294,37 @@ impl ServiceSnapshot {
 /// counters behind it.
 #[derive(Debug, Clone)]
 pub(crate) struct WriterState {
-    /// Ops consumed from the queue (applied or skipped), all reflected in
-    /// `snapshot`.
+    /// Ops reflected in `snapshot`: every op consumed from the queue
+    /// (applied or skipped) up to the last freeze. Advances only at a
+    /// freeze.
     consumed: u64,
-    /// Consumed ops that mutated the closure.
+    /// Ops applied to the closure so far, frozen or not.
     pub(crate) applied: u64,
-    /// Consumed ops the update routines rejected and skipped.
+    /// Ops the update routines rejected and skipped so far.
     pub(crate) skipped: u64,
+    /// Snapshots frozen since the writer started (the initial one not
+    /// counted).
+    pub(crate) freezes: u64,
     /// First structural-audit failure observed, if any.
     pub(crate) violation: Option<String>,
-    /// The closure frozen after the last round.
+    /// The closure as of the last freeze: the first `consumed` ops.
     pub(crate) snapshot: Arc<ServiceSnapshot>,
 }
 
 /// Writer-side queue: ops waiting to be applied, how many were ever
-/// submitted, and the shutdown latch.
+/// submitted, the freeze request, and the shutdown latch.
 struct QueueState {
     ops: VecDeque<ServiceOp>,
     submitted: u64,
+    /// The highest `submitted` count a flush has asked to see frozen.
+    wanted: u64,
     closed: bool,
 }
 
 struct Shared {
     queue: Mutex<QueueState>,
-    /// Signals the writer that ops arrived (or shutdown was requested).
+    /// Signals the writer that ops arrived, a freeze was asked for, or
+    /// shutdown was requested.
     work: Condvar,
     state: Mutex<WriterState>,
     /// Signals flushers that `WriterState::consumed` advanced.
@@ -322,8 +332,8 @@ struct Shared {
 }
 
 /// One shard's writer: a background thread that owns the mutable closure,
-/// drains its op queue in rounds, and freezes a fresh snapshot after each
-/// round for [`ShardedService::flush`](crate::ShardedService::flush) to
+/// drains its op queue in rounds, and freezes a fresh snapshot when
+/// [`ShardedService::flush`](crate::ShardedService::flush) asks for one to
 /// publish.
 pub(crate) struct ClosureService {
     shared: Arc<Shared>,
@@ -335,12 +345,18 @@ impl ClosureService {
     /// there is always one to publish.
     pub(crate) fn start(closure: CompressedClosure, config: ServiceConfig) -> ClosureService {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState { ops: VecDeque::new(), submitted: 0, closed: false }),
+            queue: Mutex::new(QueueState {
+                ops: VecDeque::new(),
+                submitted: 0,
+                wanted: 0,
+                closed: false,
+            }),
             work: Condvar::new(),
             state: Mutex::new(WriterState {
                 consumed: 0,
                 applied: 0,
                 skipped: 0,
+                freezes: 0,
                 violation: None,
                 snapshot: Arc::new(freeze_snapshot(&closure)),
             }),
@@ -379,10 +395,27 @@ impl ClosureService {
         self.shared.work.notify_all();
     }
 
-    /// Blocks until every op submitted so far is reflected in the writer's
-    /// snapshot, then returns its state.
-    pub(crate) fn flush(&self) -> WriterState {
-        let target = self.shared.queue.lock().expect("queue poisoned").submitted;
+    /// Asks the writer to freeze every op submitted so far, without
+    /// waiting; returns the count to pass to
+    /// [`ClosureService::wait_frozen`]. If nothing was submitted since the
+    /// last request the writer is not woken, and a writer with nothing
+    /// unfrozen freezes nothing.
+    pub(crate) fn request_freeze(&self) -> u64 {
+        let (target, wake) = {
+            let mut q = self.shared.queue.lock().expect("queue poisoned");
+            let wake = q.wanted < q.submitted;
+            q.wanted = q.submitted;
+            (q.submitted, wake)
+        };
+        if wake {
+            self.shared.work.notify_one();
+        }
+        target
+    }
+
+    /// Blocks until the writer's snapshot reflects the first `target`
+    /// submitted ops, then returns its state.
+    pub(crate) fn wait_frozen(&self, target: u64) -> WriterState {
         let mut st = self.shared.state.lock().expect("writer state poisoned");
         while st.consumed < target {
             st = self.shared.drained.wait(st).expect("writer state poisoned");
@@ -419,49 +452,71 @@ impl Drop for ClosureService {
     }
 }
 
+/// The writer thread. Each round drains the queue and applies it; the
+/// closure is frozen only when a flush has asked for it and the queue is
+/// drained, or on close while applied ops are still unfrozen. Under
+/// [`ShardedService::flush`](crate::ShardedService::flush) the front-end
+/// lock keeps new ops out between the request and the freeze, so the
+/// snapshot is exactly the requested prefix.
 fn writer_loop(
     shared: Arc<Shared>,
     mut closure: CompressedClosure,
     config: ServiceConfig,
 ) -> CompressedClosure {
     let mut batch: Vec<ServiceOp> = Vec::new();
+    // Ops consumed from the queue, and how many of them the last freeze
+    // reflects.
+    let (mut seen, mut frozen) = (0u64, 0u64);
     loop {
         {
             let mut q = shared.queue.lock().expect("queue poisoned");
-            while q.ops.is_empty() && !q.closed {
+            while q.ops.is_empty() && !q.closed && q.wanted <= frozen {
                 q = shared.work.wait(q).expect("queue poisoned");
-            }
-            if q.ops.is_empty() {
-                break; // closed and drained
             }
             batch.extend(q.ops.drain(..));
         }
-        let (mut applied, mut skipped) = (0u64, 0u64);
-        // A rejected op (unknown node, cycle, exhausted reserve, ...) is
-        // counted and skipped; the state stays a pure function of the
-        // submission order either way.
-        for op in batch.drain(..) {
-            match apply(&mut closure, &op) {
-                Ok(()) => applied += 1,
-                Err(_) => skipped += 1,
+        if !batch.is_empty() {
+            let (mut applied, mut skipped) = (0u64, 0u64);
+            // A rejected op (unknown node, cycle, exhausted reserve, ...)
+            // is counted and skipped; the state stays a pure function of
+            // the submission order either way.
+            for op in batch.drain(..) {
+                match apply(&mut closure, &op) {
+                    Ok(()) => applied += 1,
+                    Err(_) => skipped += 1,
+                }
             }
-        }
-        let violation = if config.audit { closure.audit().err() } else { None };
-        let snapshot = Arc::new(freeze_snapshot(&closure));
-        let retired = {
+            seen += applied + skipped;
             let mut st = shared.state.lock().expect("writer state poisoned");
-            st.consumed += applied + skipped;
             st.applied += applied;
             st.skipped += skipped;
-            if st.violation.is_none() {
-                st.violation = violation;
-            }
-            std::mem::replace(&mut st.snapshot, snapshot)
+        }
+        let (freeze, exit) = {
+            let q = shared.queue.lock().expect("queue poisoned");
+            let drained = q.ops.is_empty();
+            (drained && seen > frozen && (q.wanted > frozen || q.closed), drained && q.closed)
         };
-        // The retired snapshot is freed outside the lock, unless a
-        // published view still holds it.
-        drop(retired);
-        shared.drained.notify_all();
+        if freeze {
+            let violation = if config.audit { closure.audit().err() } else { None };
+            let snapshot = Arc::new(freeze_snapshot(&closure));
+            frozen = seen;
+            let retired = {
+                let mut st = shared.state.lock().expect("writer state poisoned");
+                st.consumed = seen;
+                st.freezes += 1;
+                if st.violation.is_none() {
+                    st.violation = violation;
+                }
+                std::mem::replace(&mut st.snapshot, snapshot)
+            };
+            // The retired snapshot is freed outside the lock, unless a
+            // published view still holds it.
+            drop(retired);
+            shared.drained.notify_all();
+        }
+        if exit {
+            break;
+        }
     }
     closure
 }
@@ -569,8 +624,9 @@ mod tests {
         let ok = accepted.load(Ordering::Relaxed);
         writer.close(); // idempotent
         assert_eq!(writer.submit(ServiceOp::Relabel), Err(ServiceClosed));
-        let state = writer.flush();
+        let state = writer.wait_frozen(writer.request_freeze());
         assert_eq!(state.consumed, ok, "accepted ops are never dropped");
+        assert_eq!(state.freezes, u64::from(ok > 0), "close froze the unfrozen ops once");
         assert_eq!((state.applied, state.skipped), (ok, 0));
         assert_eq!(state.violation, None);
         assert_eq!(state.snapshot.node_count() as u64, 2 + ok);

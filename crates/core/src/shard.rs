@@ -30,9 +30,10 @@
 //!   always the generic insert (new node under the child's parents, plus
 //!   an arc into the child), which answers like §4.1's because refinement
 //!   keeps the parent→child arcs.
-//! * [`ShardedService::flush`] is the only publish point. It drains every
-//!   shard writer and publishes one [`ShardedView`]: the routing and
-//!   boundary, every shard's latest frozen snapshot, and the count of
+//! * [`ShardedService::flush`] is the only publish point. It asks every
+//!   shard writer to freeze what it has applied (a writer freezes only
+//!   when asked, or on close) and publishes one [`ShardedView`]: the
+//!   routing and boundary, every shard's fresh snapshot, and the count of
 //!   front-end ops it reflects. A view is one global prefix of the
 //!   submission order, so composed answers never mix prefixes; ops
 //!   submitted after the last flush stay invisible.
@@ -613,6 +614,11 @@ pub struct ShardedStats {
     pub skipped: u64,
     /// Views published (the initial one included).
     pub publishes: u64,
+    /// Snapshots frozen by the shard writers since start, summed over
+    /// shards. A writer freezes only when a flush asks and it holds
+    /// unfrozen ops, or on close, so this never exceeds `publishes` times
+    /// the shard count.
+    pub freezes: u64,
     /// First structural-audit failure reported by any shard writer.
     pub audit_violation: Option<String>,
 }
@@ -622,6 +628,7 @@ impl ShardedStats {
     fn absorb(&mut self, w: &WriterState) {
         self.applied += w.applied;
         self.skipped += w.skipped;
+        self.freezes += w.freezes;
         if self.audit_violation.is_none() {
             self.audit_violation.clone_from(&w.violation);
         }
@@ -1139,11 +1146,12 @@ impl ShardedService {
         }
     }
 
-    /// Blocks until every routed op is applied and frozen by its shard
-    /// writer, publishes a new [`ShardedView`] if anything was submitted
-    /// since the last one, and returns the aggregated stats. The front end
-    /// is locked throughout, so the view reflects exactly the ops
-    /// submitted before this call.
+    /// Asks every shard writer to freeze its routed ops, waits for the
+    /// snapshots, publishes a new [`ShardedView`] if anything was submitted
+    /// since the last one, and returns the aggregated stats. Shards with
+    /// nothing new freeze nothing, and the shards that do freeze work in
+    /// parallel. The front end is locked throughout, so the view reflects
+    /// exactly the ops submitted before this call.
     pub fn flush(&self) -> ShardedStats {
         let mut f = self.front.lock().expect("front state poisoned");
         let mut stats = ShardedStats {
@@ -1152,11 +1160,13 @@ impl ShardedService {
             routed: f.routed,
             ..ShardedStats::default()
         };
+        let targets: Vec<u64> = self.services.iter().map(ClosureService::request_freeze).collect();
         let shards: Vec<Arc<ServiceSnapshot>> = self
             .services
             .iter()
-            .map(|svc| {
-                let w = svc.flush();
+            .zip(targets)
+            .map(|(svc, target)| {
+                let w = svc.wait_frozen(target);
                 stats.absorb(&w);
                 w.snapshot
             })
@@ -1590,8 +1600,9 @@ mod tests {
         let mut reader = service.reader();
         assert_eq!(reader.successors(NodeId(0)).len(), 2);
         service.submit(ServiceOp::AddNode { parents: vec![NodeId(0)] }).unwrap();
-        // Wait for the shard writer to apply and freeze the op *without* a
-        // flush: the new node must stay invisible until one publishes it.
+        // Wait for the shard writer to apply the op *without* a flush: it
+        // must not freeze it, and the new node must stay invisible until a
+        // flush publishes it.
         for _ in 0..5000 {
             if service.stats().applied >= 1 {
                 break;
@@ -1599,6 +1610,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(service.stats().applied, 1, "shard writer apply timed out");
+        assert_eq!(service.stats().freezes, 0, "a writer freezes only when a flush asks");
         assert_eq!(reader.successors(NodeId(0)).len(), 2, "unflushed write leaked");
         assert_eq!(reader.predecessors(NodeId(2)), Vec::new());
         assert_eq!(reader.staleness(), 1, "one op submitted since the pinned view");
@@ -1607,6 +1619,54 @@ mod tests {
         assert_eq!(reader.staleness(), 0);
         let (_, sc) = service.shutdown();
         assert!(sc.audit().is_ok());
+    }
+
+    #[test]
+    fn writers_freeze_once_per_flush_that_finds_work() {
+        let g = DiGraph::from_edges([(0, 1)]);
+        let sc = ShardedClosure::build(ClosureConfig::new(), &g, 1).unwrap();
+        let service = ShardedService::start(sc, ServiceConfig::new().audit(true));
+        let mut reader = service.reader();
+        const N: u64 = 20;
+        for _ in 0..N {
+            service.submit(ServiceOp::AddNode { parents: vec![NodeId(1)] }).unwrap();
+        }
+        for _ in 0..5000 {
+            if service.stats().applied >= N {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let stats = service.stats();
+        assert_eq!(stats.applied, N, "shard writer apply timed out");
+        assert_eq!((stats.freezes, stats.publishes), (0, 1), "applied, not frozen");
+        assert_eq!(reader.snapshot().node_count(), 2, "nothing visible before a flush");
+
+        let stats = service.flush();
+        assert_eq!((stats.freezes, stats.publishes), (1, 2), "one flush, one freeze");
+        assert_eq!(reader.snapshot().node_count(), 2 + N as usize);
+        let stats = service.flush();
+        assert_eq!((stats.freezes, stats.publishes), (1, 2), "nothing pending: no freeze");
+        assert_eq!(stats.audit_violation, None);
+
+        // Only the shards an op touched freeze at the next flush.
+        let g = DiGraph::from_edges([(0, 1), (2, 3)]);
+        let sc = ShardedClosure::build(ClosureConfig::new(), &g, 2).unwrap();
+        let service = ShardedService::start(sc, ServiceConfig::new());
+        service.submit(ServiceOp::AddNode { parents: vec![NodeId(1)] }).unwrap();
+        assert_eq!(service.flush().freezes, 1, "one touched shard, one freeze");
+        // A cross-shard arc lives in the boundary: a publish, no freeze.
+        service.submit(ServiceOp::AddEdge { src: NodeId(1), dst: NodeId(2) }).unwrap();
+        let stats = service.flush();
+        assert_eq!((stats.freezes, stats.publishes), (1, 3));
+        service.submit(ServiceOp::AddNode { parents: vec![NodeId(3)] }).unwrap();
+        service.submit(ServiceOp::AddNode { parents: vec![NodeId(0)] }).unwrap();
+        let stats = service.flush();
+        assert_eq!((stats.freezes, stats.publishes), (3, 4), "both shards touched");
+        let mut reader = service.reader();
+        assert!(reader.reaches(NodeId(0), NodeId(5)), "0 -> 1 -> 2 -> 3 -> new node 5");
+        let (stats, _) = service.shutdown();
+        assert_eq!((stats.freezes, stats.publishes), (3, 4), "shutdown adds no freeze");
     }
 
     #[test]

@@ -10,13 +10,18 @@
 //! before the response line is written, while the actual closure update
 //! proceeds on the background shard writers.
 //!
-//! A background *flusher* thread bounds staleness: whenever writes have
-//! been admitted since the last publish, it drains the writers and
-//! publishes a new view every `flush_interval`. Readers answer from the
-//! view of the last flush — exactly the accepted writes up to that flush,
-//! across all shards, and at most one flush interval old. The `stats`
-//! verb's `staleness` counts the writes accepted since the connection's
-//! pinned view.
+//! A background *flusher* thread bounds staleness and paces publishes: it
+//! publishes at most once per `flush_interval`. A write that arrives after
+//! at least one interval of quiet is published at once (the leading edge);
+//! writes that arrive within an interval of the last publish wait for that
+//! interval to end and are published together (the trailing edge), so a
+//! write burst costs one publish and one freeze per shard per interval,
+//! not one per write. Readers answer from the view of the last flush —
+//! exactly the accepted writes up to that flush, across all shards; an
+//! accepted write stays invisible for at most one interval plus one
+//! freeze. The `flush` verb, an `ask isa` with KB writes pending, and
+//! `close` publish immediately. The `stats` verb's `staleness` counts the
+//! writes accepted since the connection's pinned view.
 //!
 //! The KB verbs (`define-rule` / `assert` / `retract` / `ask`) drive a
 //! [`tc_kb::KnowledgeBase`] behind a mutex. Every IS-A arc the rule engine
@@ -33,7 +38,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use std::collections::HashMap;
 
@@ -48,8 +53,9 @@ use crate::proto::{parse, ProtoError, Request};
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// How often the background flusher drains writers and republishes
-    /// when writes are pending.
+    /// The background flusher's pacing: it publishes at most once per
+    /// interval. A write after an interval of quiet publishes at once; later
+    /// writes within the interval are published together when it ends.
     pub flush_interval: Duration,
 }
 
@@ -110,35 +116,42 @@ impl Engine {
         engine
     }
 
+    /// Publishes pending writes at most once per `interval`: at once if
+    /// the last publish is an interval old (leading edge), otherwise when
+    /// its interval ends (trailing edge). Stops without a flush of its own;
+    /// [`Engine::close`] publishes the last writes.
     fn flusher_loop(&self, interval: Duration) {
         let (lock, cv) = &*self.fl;
+        let mut last: Option<Instant> = None;
         loop {
-            let (dirty, stop) = {
+            {
                 let mut st = lock.lock().expect("flusher state poisoned");
-                if !st.dirty && !st.stop {
-                    // One bounded wait per iteration: a timeout falls through
-                    // to the outer loop's re-check, so the interval paces
-                    // publishes even without notifications.
-                    let (next, _) = cv.wait_timeout(st, interval).expect("flusher state poisoned");
-                    st = next;
+                while !st.dirty && !st.stop {
+                    st = cv.wait(st).expect("flusher state poisoned");
                 }
-                let dirty = st.dirty;
+                let due = last.map(|t| t + interval);
+                while let Some(wait) = due.and_then(|d| d.checked_duration_since(Instant::now())) {
+                    if st.stop {
+                        break;
+                    }
+                    st = cv.wait_timeout(st, wait).expect("flusher state poisoned").0;
+                }
+                if st.stop {
+                    return;
+                }
                 st.dirty = false;
-                (dirty, st.stop)
-            };
-            if dirty {
-                self.service.flush();
             }
-            if stop {
-                return;
-            }
+            last = Some(Instant::now());
+            self.service.flush();
         }
     }
 
     fn mark_dirty(&self) {
         let (lock, cv) = &*self.fl;
-        lock.lock().expect("flusher state poisoned").dirty = true;
-        cv.notify_all();
+        // Only the first write since the last publish wakes the flusher.
+        if !std::mem::replace(&mut lock.lock().expect("flusher state poisoned").dirty, true) {
+            cv.notify_all();
+        }
     }
 
     /// A zero-lock reader for one connection.
@@ -218,7 +231,7 @@ impl Engine {
                 let dict = self.dict.read().expect("dict poisoned");
                 format!(
                     "ok submitted={} rejected={} routed={} applied={} skipped={} \
-                     publishes={} staleness={} keys={} tombstones={}",
+                     publishes={} staleness={} keys={} tombstones={} freezes={}",
                     s.submitted,
                     s.rejected,
                     s.routed,
@@ -228,6 +241,7 @@ impl Engine {
                     reader.staleness(),
                     dict.live_count(),
                     dict.tombstone_count(),
+                    s.freezes,
                 )
             }
             Request::Reaches(a, b) => match self.resolve2(a, b) {
@@ -631,5 +645,96 @@ mod tests {
         // The admitted write was drained and published by close().
         assert_eq!(e.handle(&mut r, "reaches n0 leaf"), "ok true");
         e.close(); // idempotent
+    }
+
+    /// An engine over the chain n0 -> n1 -> ... -> n59 whose flusher
+    /// publishes at most once per `interval`.
+    fn paced(interval: Duration) -> (Arc<Engine>, ShardedReader) {
+        let g = DiGraph::from_edges((0..59).map(|i| (i, i + 1)));
+        let sc = ShardedClosure::build(ClosureConfig::new(), &g, 1).unwrap();
+        let config = EngineConfig { flush_interval: interval };
+        let e = Engine::start(sc, Dict::with_default_keys(60), config);
+        let r = e.reader();
+        (e, r)
+    }
+
+    /// Polls until the reader's view holds every accepted write; returns
+    /// how long that took, or `None` past `limit`.
+    fn wait_published(r: &mut ShardedReader, limit: Duration) -> Option<Duration> {
+        let t = Instant::now();
+        while t.elapsed() < limit {
+            r.snapshot();
+            if r.staleness() == 0 {
+                return Some(t.elapsed());
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        None
+    }
+
+    #[test]
+    fn a_write_after_quiet_publishes_on_the_leading_edge() {
+        let interval = Duration::from_secs(2);
+        let (e, mut r) = paced(interval);
+        for (round, write) in ["add-edge n0 n2", "add-edge n1 n3"].into_iter().enumerate() {
+            assert_eq!(e.handle(&mut r, write), "ok added");
+            let took = wait_published(&mut r, Duration::from_secs(10)).expect("never published");
+            assert!(took < interval / 2, "write {round} after quiet waited {took:?}");
+            // A full interval of quiet before the next write.
+            std::thread::sleep(interval + Duration::from_millis(200));
+        }
+        assert_eq!(e.stats().publishes, 3, "the initial view plus one per write");
+        e.close();
+    }
+
+    #[test]
+    fn a_write_burst_publishes_once_per_interval() {
+        let interval = Duration::from_secs(2);
+        let (e, mut r) = paced(interval);
+        let p0 = e.stats().publishes;
+        let t0 = Instant::now();
+        for i in 0..50 {
+            let line = format!("add-edge n{i} n{}", i + 2);
+            assert_eq!(e.handle(&mut r, &line), "ok added");
+        }
+        std::thread::sleep(Duration::from_millis(200).saturating_sub(t0.elapsed()));
+        let p1 = e.stats().publishes;
+        assert!(p1 - p0 <= 2, "{} publishes within 200 ms of a 50-write burst", p1 - p0);
+        r.snapshot();
+        if r.staleness() > 0 {
+            // The rest of the burst waits for the trailing edge.
+            wait_published(&mut r, Duration::from_secs(10)).expect("never published");
+            let at = t0.elapsed();
+            assert!(at >= interval, "trailing publish after {at:?}, before one interval");
+            assert_eq!(e.stats().publishes, p1 + 1, "one trailing publish for the burst");
+        }
+        assert_eq!(e.handle(&mut r, "reaches n49 n51"), "ok true");
+        assert!(e.stats().freezes <= e.stats().publishes - p0, "one shard, one freeze a publish");
+        e.close();
+    }
+
+    #[test]
+    fn flush_ask_and_close_publish_immediately_under_a_long_interval() {
+        let (e, mut r) = paced(Duration::from_secs(60));
+        // The first write takes the leading edge; the next ones would wait
+        // a minute for the flusher.
+        assert_eq!(e.handle(&mut r, "add-node leaf n59"), "ok added");
+        wait_published(&mut r, Duration::from_secs(10)).expect("leading edge never published");
+        assert_eq!(e.handle(&mut r, "add-node twig n59"), "ok added");
+        assert_eq!(e.handle(&mut r, "reaches n0 twig"), "ok false", "not published yet");
+        assert_eq!(e.handle(&mut r, "flush"), "ok flushed");
+        assert_eq!(e.handle(&mut r, "reaches n0 twig"), "ok true");
+
+        assert_eq!(e.handle(&mut r, "assert isa a b"), "ok applied");
+        assert_eq!(e.handle(&mut r, "assert isa b c"), "ok applied");
+        assert_eq!(e.handle(&mut r, "ask isa a c"), "ok true", "ask flushes its own writes");
+        let stats = e.handle(&mut r, "stats");
+        assert!(stats.ends_with(" freezes=3"), "three publishing flushes: {stats}");
+
+        assert_eq!(e.handle(&mut r, "add-node bud n59"), "ok added");
+        let t = Instant::now();
+        e.close();
+        assert!(t.elapsed() < Duration::from_secs(10), "close waited for the interval");
+        assert_eq!(e.handle(&mut r, "reaches n0 bud"), "ok true", "close publishes");
     }
 }

@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
 use crate::proto::{ProtoError, MAX_LINE};
@@ -58,6 +58,37 @@ struct Counters {
     requests: AtomicU64,
     caught_panics: AtomicU64,
     writes: AtomicU64,
+    /// Connections holding answers they have not written yet.
+    pending: AtomicU64,
+}
+
+/// A connection's entry in [`Counters::pending`]: set from the moment it
+/// takes a request until it has written the answers, cleared on drop.
+struct Pending<'a> {
+    counters: &'a Counters,
+    on: bool,
+}
+
+impl Pending<'_> {
+    fn set(&mut self, on: bool) {
+        if self.on != on {
+            self.on = on;
+            // SeqCst: a `shutdown` request raises this before its handler
+            // closes the engine, so `Server::stop`, which runs after it
+            // saw the engine closed, also sees the request pending.
+            if on {
+                self.counters.pending.fetch_add(1, Ordering::SeqCst);
+            } else {
+                self.counters.pending.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        self.set(false);
+    }
 }
 
 /// A running daemon. Dropping the handle does *not* stop the daemon; call
@@ -125,18 +156,21 @@ impl Server {
 
     /// Closes the engine, stops the accept loop, and joins it. Existing
     /// connections drain on their own (every admitted write is already
-    /// published by [`Engine::close`]). An accept loop that died of a panic
-    /// is reported as `Err` — the caller decides the exit code; the engine
-    /// is closed cleanly either way.
+    /// published by [`Engine::close`]), but `stop` first waits, for up to
+    /// 5 s, until no connection holds unwritten answers: a process that
+    /// exits right after `stop` still delivers them, the `shutdown` verb's
+    /// own `ok bye` included. An accept loop that died of a panic is
+    /// reported as `Err` — the caller decides the exit code; the engine is
+    /// closed cleanly either way.
     pub fn stop(mut self) -> Result<(), String> {
         self.engine.close();
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            if h.join().is_err() {
-                return Err("accept loop panicked".into());
-            }
+        let joined = self.accept_thread.take().map_or(Ok(()), JoinHandle::join);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while self.counters.pending.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        Ok(())
+        joined.map_err(|_| "accept loop panicked".to_owned())
     }
 }
 
@@ -269,9 +303,13 @@ fn serve_connection(
     let mut out = BufWriter::new(write_half);
     let mut reader_state = LineReader { stream, buf: vec![0u8; 8 * 1024], pending: Vec::new() };
     let mut closure_reader = engine.reader();
+    let mut pending = Pending { counters, on: false };
     loop {
-        if !reader_state.has_line() && flush(&mut out, counters).is_err() {
-            return;
+        if !reader_state.has_line() {
+            if flush(&mut out, counters).is_err() {
+                return;
+            }
+            pending.set(false);
         }
         let line = match reader_state.read_line(max_line) {
             Ok(LineRead::Line(l)) => l,
@@ -285,6 +323,7 @@ fn serve_connection(
             }
             Ok(LineRead::Oversized) => {
                 counters.requests.fetch_add(1, Ordering::Relaxed);
+                pending.set(true);
                 if writeln!(out, "{}", ProtoError::Oversized.line()).is_err() {
                     return;
                 }
@@ -293,6 +332,7 @@ fn serve_connection(
             Err(_) => return,
         };
         counters.requests.fetch_add(1, Ordering::Relaxed);
+        pending.set(true);
         let response = match std::str::from_utf8(&line) {
             Err(_) => ProtoError::Utf8.line(),
             Ok(text) => {

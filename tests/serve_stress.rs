@@ -11,7 +11,7 @@
 //! that prefix — any answer that matches no prefix, or a composed answer
 //! mixing two shards' prefixes, is a violation.
 //!
-//! The per-round structural audit is on throughout
+//! The pre-freeze structural audit is on throughout
 //! ([`ServiceConfig::audit`]); a single audit violation fails the test.
 //!
 //! Reader count: `TC_SERVE_READERS`, else `RUST_TEST_THREADS`, else 4 —
@@ -252,6 +252,7 @@ fn stress_one_seed(seed: u64, shards: usize, readers: usize) {
             .collect();
 
         // Feed the trace in chunks so readers see many distinct prefixes.
+        let mut flushes = 1u64;
         for chunk in ops.chunks(CHUNK) {
             for op in chunk {
                 let (_, outcome) =
@@ -259,6 +260,7 @@ fn stress_one_seed(seed: u64, shards: usize, readers: usize) {
                 outcomes.push(outcome);
             }
             service.flush();
+            flushes += 1;
             std::thread::yield_now();
         }
         let stats = service.flush();
@@ -266,6 +268,12 @@ fn stress_one_seed(seed: u64, shards: usize, readers: usize) {
         assert_eq!(stats.submitted, ops.len() as u64, "{what}: front end saw every op");
         assert_eq!(stats.skipped, 0, "{what}: shard writers must never skip");
         assert_eq!(stats.audit_violation, None, "{what}: structural audit failed mid-serve");
+        // Shard writers freeze only when a flush asks, at most once each.
+        assert!(
+            stats.freezes <= flushes * shards as u64,
+            "{what}: {} freezes over {flushes} flushes",
+            stats.freezes
+        );
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("reader panicked"))
