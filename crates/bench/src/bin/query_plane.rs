@@ -112,18 +112,12 @@ fn main() {
         });
         cells.push(Measurement { query: "successors", frozen, threads: 1, ms });
 
-        // The mutable predecessor scan parallelizes over nodes; the frozen
-        // stabbing query is sub-linear and has no use for extra workers, so
-        // time it once and compare against both mutable configurations.
-        let pred_threads: &[usize] = if frozen { &[1] } else { &[1, threads] };
-        for &t in pred_threads {
-            closure.set_threads(t);
-            let ms = best_of(reps, || {
-                sample.iter().map(|&v| closure.predecessors(v).len()).sum::<usize>()
-            });
-            cells.push(Measurement { query: "predecessors", frozen, threads: t, ms });
-        }
-        closure.set_threads(1);
+        // Neither the mutable in-arc traversal nor the frozen stabbing
+        // query uses worker threads.
+        let ms = best_of(reps, || {
+            sample.iter().map(|&v| closure.predecessors(v).len()).sum::<usize>()
+        });
+        cells.push(Measurement { query: "predecessors", frozen, threads: 1, ms });
     }
 
     let mut table = Table::new(

@@ -124,8 +124,8 @@ impl CompressedClosure {
     }
 
     /// Changes the worker-thread count used by subsequent parallel
-    /// operations (batch queries, predecessor scans, stats, relabeling,
-    /// rebuilds) — see [`ClosureConfig::threads`].
+    /// operations (batch queries, stats, relabeling, rebuilds) — see
+    /// [`ClosureConfig::threads`].
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
     }
@@ -310,37 +310,43 @@ impl CompressedClosure {
     /// id.
     ///
     /// Frozen, this is one O(k log m) stabbing query over the plane's
-    /// inverted index. Mutable, it scans every interval
-    /// set — O(n log k), softened by a single-interval fast path and split
-    /// across the configured worker threads; call [`Self::freeze`] (again
-    /// after each batch of updates) if predecessor queries dominate.
+    /// inverted index. Mutable, it is a reverse traversal over the base
+    /// graph's in-arcs — O(answer + its in-arcs) plus an n-bit visited
+    /// map, so a small answer costs little however large the closure is.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.predecessors_into(node, &mut out);
+        out
+    }
+
+    /// [`CompressedClosure::predecessors`] into a caller buffer: clears
+    /// `out`, keeps its capacity.
+    pub fn predecessors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         if let Some(frozen) = &self.frozen {
-            let mut out = Vec::new();
-            frozen.predecessors_into(node, &mut out);
-            return out;
+            return frozen.predecessors_into(node, out);
         }
-        let target = self.lab.post[node.index()];
-        let threads = parallel::effective_threads(self.config.threads);
-        if threads <= 1 {
-            return self
-                .graph
-                .nodes()
-                .filter(|&u| self.label_contains(u, target))
-                .collect();
-        }
-        let nodes: Vec<NodeId> = self.graph.nodes().collect();
-        let mut hits = vec![false; nodes.len()];
-        parallel::map_chunks_into(&nodes, &mut hits, threads, |chunk, slots| {
-            for (slot, &u) in slots.iter_mut().zip(chunk) {
-                *slot = self.label_contains(u, target);
+        let mut seen = vec![0u64; self.graph.node_count().div_ceil(64)];
+        let mut mark = |u: NodeId| {
+            let (w, bit) = (u.index() / 64, 1u64 << (u.index() % 64));
+            let fresh = seen[w] & bit == 0;
+            seen[w] |= bit;
+            fresh
+        };
+        mark(node);
+        out.clear();
+        out.push(node);
+        // `out` doubles as the traversal queue: everything before `next`
+        // has had its in-arcs followed.
+        let mut next = 0;
+        while let Some(&v) = out.get(next) {
+            next += 1;
+            for &u in self.graph.predecessors(v) {
+                if mark(u) {
+                    out.push(u);
+                }
             }
-        });
-        nodes
-            .into_iter()
-            .zip(hits)
-            .filter_map(|(u, hit)| hit.then_some(u))
-            .collect()
+        }
+        out.sort_unstable();
     }
 
     /// Reconstructs one concrete path `src -> ... -> dst` (inclusive), or
@@ -552,6 +558,78 @@ mod tests {
         let mut pred = c.predecessors(NodeId(3));
         pred.sort_unstable();
         assert_eq!(pred, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+    }
+
+    /// Reverse DFS over the base graph's in-arcs: the ground truth the
+    /// mutable `predecessors` traversal must reproduce.
+    fn dfs_predecessors(g: &DiGraph, node: NodeId) -> Vec<NodeId> {
+        let mut seen = vec![false; g.node_count()];
+        seen[node.index()] = true;
+        let mut stack = vec![node];
+        let mut out = Vec::new();
+        while let Some(v) = stack.pop() {
+            out.push(v);
+            for &u in g.predecessors(v) {
+                if !std::mem::replace(&mut seen[u.index()], true) {
+                    stack.push(u);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn mutable_predecessors_match_frozen_and_dfs_under_churn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for threads in [1, 4] {
+            let mut rng = StdRng::seed_from_u64(threads as u64);
+            let g = generators::random_dag(generators::RandomDagConfig {
+                nodes: 60,
+                avg_out_degree: 2.0,
+                seed: 3,
+            });
+            let mut c = ClosureConfig::new()
+                .threads(threads)
+                .gap(8)
+                .build(&g)
+                .unwrap();
+            let mut removed = Vec::new();
+            for step in 0..120 {
+                let n = c.node_count() as u32;
+                let (a, b) = (
+                    NodeId(rng.random_range(0..n)),
+                    NodeId(rng.random_range(0..n)),
+                );
+                match rng.random_range(0..10) {
+                    0 => {
+                        c.remove_node(a).unwrap();
+                        assert_eq!(c.predecessors(a), vec![a], "removed {a:?}");
+                        removed.push(a);
+                    }
+                    1..=4 => {
+                        let edges: Vec<_> = c.graph().edges().collect();
+                        if let Some(&(s, d)) = edges.get(rng.random_range(0..edges.len().max(1))) {
+                            c.remove_edge(s, d).unwrap();
+                        }
+                    }
+                    _ => {
+                        if a != b && !c.reaches(b, a) {
+                            c.add_edge(a, b).unwrap();
+                        }
+                    }
+                }
+                let mut frozen = c.clone();
+                frozen.freeze();
+                for v in c.graph().nodes() {
+                    let got = c.predecessors(v);
+                    assert_eq!(got, dfs_predecessors(c.graph(), v), "step {step}: {v:?}");
+                    assert_eq!(got, frozen.predecessors(v), "step {step}: frozen {v:?}");
+                }
+            }
+            assert!(!removed.is_empty(), "the churn removed nodes");
+        }
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!   argument: any new derivation must use at least one new atom, so seeding
 //!   one body position with the delta and the rest with the full relation
 //!   finds them all.
+//! * **Rules are compiled once**, when defined: variables become dense
+//!   slots of a `u32` environment and constants become concept ids, so
+//!   the join never hashes a name. One backtracking kernel (`Join`) serves
+//!   forward chaining, over-deletion, derivability probes and the naive
+//!   fixpoint; it binds and unbinds slots in place, reuses one row buffer
+//!   per depth, and emits head pairs.
 //! * **Retraction is DRed-style** (delete and re-derive): the base fact's
 //!   arc is removed first — each removal running the §4.2 *scoped*
 //!   affected-region recompute inside `remove_edge` — and every removal
@@ -85,8 +91,8 @@ impl Pred {
 pub enum Term {
     /// A variable, bound during evaluation.
     Var(String),
-    /// A concept name, resolved lazily (rules may be defined before the
-    /// concepts they mention exist).
+    /// A concept name; [`KnowledgeBase::define_rule`] creates the concept
+    /// if it does not exist yet and compiles the name to its id.
     Const(String),
 }
 
@@ -260,6 +266,8 @@ pub struct KnowledgeBase {
     features: Vec<BTreeSet<String>>,
     feat_index: HashMap<String, BTreeSet<u32>>,
     rules: Vec<Rule>,
+    /// `rules[i]` compiled against concept ids, same order.
+    compiled: Vec<Compiled>,
     facts: BTreeMap<(Pred, u32, u32), Fact>,
     props: Inheritance,
     journal: Vec<KbChange>,
@@ -272,8 +280,6 @@ impl Default for KnowledgeBase {
     }
 }
 
-type Env = HashMap<String, u32>;
-
 impl KnowledgeBase {
     /// Creates an empty knowledge base.
     pub fn new() -> Self {
@@ -285,6 +291,7 @@ impl KnowledgeBase {
             features: Vec::new(),
             feat_index: HashMap::new(),
             rules: Vec::new(),
+            compiled: Vec::new(),
             facts: BTreeMap::new(),
             props: Inheritance::new(),
             journal: Vec::new(),
@@ -385,10 +392,13 @@ impl KnowledgeBase {
             self.concept(&c)?;
         }
         let name = rule.name.clone();
-        if let Some(slot) = self.rules.iter_mut().find(|r| r.name == name) {
-            *slot = rule;
+        let compiled = self.compile(&rule);
+        if let Some(i) = self.rules.iter().position(|r| r.name == name) {
+            self.rules[i] = rule;
+            self.compiled[i] = compiled;
         } else {
             self.rules.push(rule);
+            self.compiled.push(compiled);
         }
         Ok(name)
     }
@@ -532,10 +542,11 @@ impl KnowledgeBase {
     /// replay cannot reproduce.
     pub fn check_against_naive(&self) -> Result<(), String> {
         let mut naive = KnowledgeBase::new();
-        naive.rules = self.rules.clone();
         for name in self.taxonomy.concepts() {
             naive.concept(name).map_err(|e| e.to_string())?;
         }
+        naive.compiled = self.rules.iter().map(|r| naive.compile(r)).collect();
+        naive.rules = self.rules.clone();
         for (id, feats) in self.features.iter().enumerate() {
             for f in feats {
                 naive.features[id].insert(f.clone());
@@ -650,46 +661,74 @@ impl KnowledgeBase {
         Ok(delta)
     }
 
+    /// Compiles a parsed rule against this knowledge base: variables become
+    /// dense environment slots, constants become concept ids. Every
+    /// constant must already exist — `define_rule` creates them first, and
+    /// concepts are never removed, so the ids stay valid for good.
+    fn compile(&self, rule: &Rule) -> Compiled {
+        let mut vars: Vec<String> = Vec::new();
+        let mut arg = |t: &Term| match t {
+            Term::Var(v) => Arg::Slot(match vars.iter().position(|w| w == v) {
+                Some(slot) => slot,
+                None => {
+                    vars.push(v.clone());
+                    vars.len() - 1
+                }
+            }),
+            Term::Const(c) => Arg::Id(
+                self.concept_id(c)
+                    .expect("rule constants are created before compiling"),
+            ),
+        };
+        let mut atom = |a: &Atom| CompiledAtom {
+            pred: a.pred,
+            sub: arg(&a.sub),
+            obj: arg(&a.obj),
+        };
+        let head = atom(&rule.head);
+        let body = rule.body.iter().map(&mut atom).collect();
+        let feats = rule
+            .feats
+            .iter()
+            .map(|f| CompiledFeat {
+                term: arg(&f.term),
+                feature: f.feature.clone(),
+            })
+            .collect();
+        Compiled {
+            head,
+            body,
+            feats,
+            slots: vars.len(),
+        }
+    }
+
     /// Semi-naive forward chaining: each worklist entry is one newly-true
     /// ground atom; for every rule position it can fill, the remaining body
     /// is joined against the full current relations and the resulting heads
     /// are materialized (which can enqueue further newly-true pairs).
     fn propagate(&mut self, mut work: VecDeque<DeltaAtom>) {
+        let mut join = Join::default();
         while let Some(delta) = work.pop_front() {
-            for ri in 0..self.rules.len() {
-                let rule = self.rules[ri].clone();
-                match &delta {
-                    DeltaAtom::Edge(pred, x, y) => {
-                        for pos in 0..rule.body.len() {
-                            if rule.body[pos].pred != *pred {
-                                continue;
-                            }
-                            let mut env = Env::new();
-                            if !bind_term(&rule.body[pos].sub, *x, &mut env, self)
-                                || !bind_term(&rule.body[pos].obj, *y, &mut env, self)
-                            {
-                                continue;
-                            }
-                            let envs = self.complete(&rule, env, Some(pos), usize::MAX);
-                            for env in envs {
-                                self.fire(&rule, &env, &mut work);
-                            }
+            for ri in 0..self.compiled.len() {
+                let positions = match delta {
+                    DeltaAtom::Edge(..) => self.compiled[ri].body.len(),
+                    DeltaAtom::Feat(..) => self.compiled[ri].feats.len(),
+                };
+                for pos in 0..positions {
+                    let rule = &self.compiled[ri];
+                    let seed = match &delta {
+                        DeltaAtom::Edge(p, x, y) if rule.body[pos].pred == *p => {
+                            Seed::Body(pos, *x, *y)
                         }
-                    }
-                    DeltaAtom::Feat(id, feature) => {
-                        for pos in 0..rule.feats.len() {
-                            if rule.feats[pos].feature != *feature {
-                                continue;
-                            }
-                            let mut env = Env::new();
-                            if !bind_term(&rule.feats[pos].term, *id, &mut env, self) {
-                                continue;
-                            }
-                            let envs = self.complete(&rule, env, None, pos);
-                            for env in envs {
-                                self.fire(&rule, &env, &mut work);
-                            }
+                        DeltaAtom::Feat(c, f) if rule.feats[pos].feature == *f => {
+                            Seed::Feat(pos, *c)
                         }
+                        _ => continue,
+                    };
+                    let pred = rule.head.pred;
+                    for &(x, y) in join.run(self, rule, seed, false) {
+                        self.fire(pred, x, y, &mut work);
                     }
                 }
             }
@@ -699,17 +738,10 @@ impl KnowledgeBase {
     /// Materializes one ground head instantiation. An already-present fact
     /// is left alone; a genuinely new arc goes through the delta add path
     /// and its newly-true pairs join the worklist.
-    fn fire(&mut self, rule: &Rule, env: &Env, work: &mut VecDeque<DeltaAtom>) {
-        let Some(x) = self.resolve(&rule.head.sub, env) else {
-            return;
-        };
-        let Some(y) = self.resolve(&rule.head.obj, env) else {
-            return;
-        };
-        if x == y || self.facts.contains_key(&(rule.head.pred, x, y)) {
+    fn fire(&mut self, pred: Pred, x: u32, y: u32, work: &mut VecDeque<DeltaAtom>) {
+        if x == y || self.facts.contains_key(&(pred, x, y)) {
             return;
         }
-        let pred = rule.head.pred;
         match self.edge_add(pred, x, y) {
             Ok(delta) => {
                 self.facts.insert((pred, x, y), Fact { asserted: false });
@@ -837,32 +869,19 @@ impl KnowledgeBase {
             .filter(|&n| n != v)
             .collect();
         below.push(v);
+        let mut join = Join::default();
         let mut out = Vec::new();
-        for rule in &old.rules {
-            for pos in 0..rule.body.len() {
-                if rule.body[pos].pred != q {
+        for rule in &old.compiled {
+            for (pos, atom) in rule.body.iter().enumerate() {
+                if atom.pred != q {
                     continue;
                 }
                 for &a in &above {
-                    let mut env_a = Env::new();
-                    if !bind_term(&rule.body[pos].sub, a, &mut env_a, old) {
-                        continue;
-                    }
                     for &b in &below {
                         if a == b {
                             continue;
                         }
-                        let mut env = env_a.clone();
-                        if !bind_term(&rule.body[pos].obj, b, &mut env, old) {
-                            continue;
-                        }
-                        for env in old.complete(rule, env, Some(pos), usize::MAX) {
-                            let (Some(hx), Some(hy)) = (
-                                old.resolve(&rule.head.sub, &env),
-                                old.resolve(&rule.head.obj, &env),
-                            ) else {
-                                continue;
-                            };
+                        for &(hx, hy) in join.run(old, rule, Seed::Body(pos, a, b), false) {
                             if hx != hy {
                                 out.push((rule.head.pred, hx, hy));
                             }
@@ -876,190 +895,28 @@ impl KnowledgeBase {
 
     /// Whether any rule currently derives `pred(x, y)`. Judged against the
     /// live model, which never contains the candidate's own arc when this
-    /// is asked (retraction removes first, then re-derives).
+    /// is asked (retraction removes first, then re-derives). Each rule's
+    /// join stops at its first binding.
     fn derivable(&self, pred: Pred, x: u32, y: u32) -> bool {
-        for rule in &self.rules {
-            if rule.head.pred != pred {
-                continue;
-            }
-            let mut env = Env::new();
-            if !bind_term(&rule.head.sub, x, &mut env, self)
-                || !bind_term(&rule.head.obj, y, &mut env, self)
-            {
-                continue;
-            }
-            if !self.complete(rule, env, None, usize::MAX).is_empty() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Completes a partial binding against the full current relations,
-    /// returning every total binding of the rule's body. `skip_edge` /
-    /// `skip_feat` exclude the already-satisfied delta position.
-    fn complete(
-        &self,
-        rule: &Rule,
-        env: Env,
-        skip_edge: Option<usize>,
-        skip_feat: usize,
-    ) -> Vec<Env> {
-        let edge_todo: Vec<usize> = (0..rule.body.len())
-            .filter(|&i| Some(i) != skip_edge)
-            .collect();
-        let feat_todo: Vec<usize> = (0..rule.feats.len()).filter(|&i| i != skip_feat).collect();
-        let mut out = Vec::new();
-        self.join(rule, env, &edge_todo, &feat_todo, &mut out);
-        out
-    }
-
-    /// Backtracking join, most-bound atom first: fully bound atoms are
-    /// verified with one interval lookup; half-bound atoms enumerate one
-    /// successor or predecessor row; feature atoms filter or enumerate the
-    /// feature index. Unbound edge atoms are deferred until a binding
-    /// reaches them (rules are expected to be range-connected; a fully
-    /// unconstrained atom falls back to enumerating every concept's row).
-    fn join(
-        &self,
-        rule: &Rule,
-        env: Env,
-        edge_todo: &[usize],
-        feat_todo: &[usize],
-        out: &mut Vec<Env>,
-    ) {
-        // Feature atoms first when bound (cheap filters), else the most
-        // bound edge atom.
-        for (slot, &fi) in feat_todo.iter().enumerate() {
-            let fa = &rule.feats[fi];
-            if let Some(c) = self.resolve(&fa.term, &env) {
-                if !self.features[c as usize].contains(&fa.feature) {
-                    return;
-                }
-                let rest: Vec<usize> = feat_todo
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, &f)| (j != slot).then_some(f))
-                    .collect();
-                return self.join(rule, env, edge_todo, &rest, out);
-            }
-        }
-        if edge_todo.is_empty() {
-            // Any remaining feature atoms have unbound terms: enumerate the
-            // feature index for the first one.
-            if let Some((slot, &fi)) = feat_todo.iter().enumerate().next() {
-                let fa = &rule.feats[fi];
-                let Term::Var(v) = &fa.term else {
-                    return; // unknown constant: unsatisfiable
-                };
-                let rest: Vec<usize> = feat_todo
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, &f)| (j != slot).then_some(f))
-                    .collect();
-                if let Some(ids) = self.feat_index.get(&fa.feature) {
-                    for &c in ids {
-                        let mut env2 = env.clone();
-                        env2.insert(v.clone(), c);
-                        self.join(rule, env2, edge_todo, &rest, out);
-                    }
-                }
-                return;
-            }
-            out.push(env);
-            return;
-        }
-        // Pick the edge atom with the most bound terms.
-        let (slot, _) = edge_todo
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &i)| {
-                let a = &rule.body[i];
-                self.resolve(&a.sub, &env).is_some() as usize
-                    + self.resolve(&a.obj, &env).is_some() as usize
-            })
-            .expect("non-empty");
-        let ai = edge_todo[slot];
-        let atom = &rule.body[ai];
-        let rest: Vec<usize> = edge_todo
-            .iter()
-            .enumerate()
-            .filter_map(|(j, &e)| (j != slot).then_some(e))
-            .collect();
-        let sub = self.resolve(&atom.sub, &env);
-        let obj = self.resolve(&atom.obj, &env);
-        match (sub, obj) {
-            (Some(s), Some(o)) => {
-                if self.holds(atom.pred, s, o) {
-                    self.join(rule, env, &rest, feat_todo, out);
-                }
-            }
-            (Some(s), None) => {
-                let Term::Var(v) = &atom.obj else { return };
-                for t in self.clos(atom.pred).successors(NodeId(s)) {
-                    if t.0 == s {
-                        continue;
-                    }
-                    let mut env2 = env.clone();
-                    env2.insert(v.clone(), t.0);
-                    self.join(rule, env2, &rest, feat_todo, out);
-                }
-            }
-            (None, Some(o)) => {
-                let Term::Var(v) = &atom.sub else { return };
-                for s in self.clos(atom.pred).predecessors(NodeId(o)) {
-                    if s.0 == o {
-                        continue;
-                    }
-                    let mut env2 = env.clone();
-                    env2.insert(v.clone(), s.0);
-                    self.join(rule, env2, &rest, feat_todo, out);
-                }
-            }
-            (None, None) => {
-                let (Term::Var(vs), Term::Var(vo)) = (&atom.sub, &atom.obj) else {
-                    return; // an unknown constant: unsatisfiable
-                };
-                for s in 0..self.concept_count() as u32 {
-                    for t in self.clos(atom.pred).successors(NodeId(s)) {
-                        if t.0 == s {
-                            continue;
-                        }
-                        let mut env2 = env.clone();
-                        env2.insert(vs.clone(), s);
-                        env2.insert(vo.clone(), t.0);
-                        self.join(rule, env2, &rest, feat_todo, out);
-                    }
-                }
-            }
-        }
-    }
-
-    fn resolve(&self, term: &Term, env: &Env) -> Option<u32> {
-        match term {
-            Term::Var(v) => env.get(v).copied(),
-            Term::Const(c) => self.concept_id(c),
-        }
+        let mut join = Join::default();
+        self.compiled.iter().any(|rule| {
+            rule.head.pred == pred && !join.run(self, rule, Seed::Head(x, y), true).is_empty()
+        })
     }
 
     /// Genuinely naive fixpoint: every rule against every binding until no
     /// new arc is materialized. The differential oracle the incremental
-    /// engine is checked against.
+    /// engine is checked against; it shares the join kernel, which the
+    /// string-environment reference in this module's tests checks in turn.
     fn naive_fixpoint(&mut self) -> Result<(), KbError> {
+        let mut join = Join::default();
         loop {
             let mut new_heads: Vec<(Pred, u32, u32)> = Vec::new();
-            for rule in self.rules.clone() {
-                for env in self.complete(&rule, Env::new(), None, usize::MAX) {
-                    let (Some(x), Some(y)) = (
-                        self.resolve(&rule.head.sub, &env),
-                        self.resolve(&rule.head.obj, &env),
-                    ) else {
-                        continue;
-                    };
-                    if x == y || self.facts.contains_key(&(rule.head.pred, x, y)) {
-                        continue;
+            for rule in &self.compiled {
+                for &(x, y) in join.run(self, rule, Seed::Free, false) {
+                    if x != y && !self.facts.contains_key(&(rule.head.pred, x, y)) {
+                        new_heads.push((rule.head.pred, x, y));
                     }
-                    new_heads.push((rule.head.pred, x, y));
                 }
             }
             let mut changed = false;
@@ -1098,18 +955,263 @@ enum DeltaAtom {
     Feat(u32, String),
 }
 
-/// Binds a term against a concrete id: variables extend the environment
-/// (or must agree with it); constants must name exactly that concept.
-fn bind_term(term: &Term, id: u32, env: &mut Env, kb: &KnowledgeBase) -> bool {
-    match term {
-        Term::Var(v) => match env.get(v) {
-            Some(&bound) => bound == id,
-            None => {
-                env.insert(v.clone(), id);
-                true
+// ----------------------------------------------------------------------
+// Compiled rules and the join kernel
+// ----------------------------------------------------------------------
+
+/// A rule term compiled against concept ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    /// A variable: its dense slot in the join environment.
+    Slot(usize),
+    /// A constant: its concept id.
+    Id(u32),
+}
+
+#[derive(Debug, Clone)]
+struct CompiledAtom {
+    pred: Pred,
+    sub: Arg,
+    obj: Arg,
+}
+
+#[derive(Debug, Clone)]
+struct CompiledFeat {
+    term: Arg,
+    feature: String,
+}
+
+/// A [`Rule`] as the join evaluates it: no names left to hash.
+#[derive(Debug, Clone)]
+struct Compiled {
+    head: CompiledAtom,
+    body: Vec<CompiledAtom>,
+    feats: Vec<CompiledFeat>,
+    /// Number of distinct variables (environment slots).
+    slots: usize,
+}
+
+/// Where a join starts: the ground atom a caller has already matched.
+#[derive(Debug, Clone, Copy)]
+enum Seed {
+    /// Nothing bound: every body instantiation.
+    Free,
+    /// Body edge atom `pos` matched the pair `(x, y)`; it is not re-checked.
+    Body(usize, u32, u32),
+    /// Feature atom `pos` matched concept `c`; it is not re-checked.
+    Feat(usize, u32),
+    /// The head is the pair `(x, y)` (derivability probes).
+    Head(u32, u32),
+}
+
+/// The rule-join kernel and its scratch state, reused across calls: one
+/// slot environment bound and unbound in place, per-atom done flags, and
+/// one row buffer per enumeration depth.
+#[derive(Debug, Default)]
+struct Join {
+    env: Vec<Option<u32>>,
+    edge_done: Vec<bool>,
+    feat_done: Vec<bool>,
+    rows: Vec<Vec<NodeId>>,
+    heads: Vec<(u32, u32)>,
+    first_only: bool,
+}
+
+impl Join {
+    /// Joins `rule`'s body, starting from `seed`, against `kb`'s current
+    /// relations and returns the head pair of every total binding in join
+    /// order (reflexive pairs included; callers drop them). With
+    /// `first_only` the join stops at the first binding.
+    fn run(
+        &mut self,
+        kb: &KnowledgeBase,
+        rule: &Compiled,
+        seed: Seed,
+        first_only: bool,
+    ) -> &[(u32, u32)] {
+        self.heads.clear();
+        self.first_only = first_only;
+        self.env.clear();
+        self.env.resize(rule.slots, None);
+        self.edge_done.clear();
+        self.edge_done.resize(rule.body.len(), false);
+        self.feat_done.clear();
+        self.feat_done.resize(rule.feats.len(), false);
+        let seeded = match seed {
+            Seed::Free => true,
+            Seed::Body(pos, x, y) => {
+                self.edge_done[pos] = true;
+                self.bind(rule.body[pos].sub, x) && self.bind(rule.body[pos].obj, y)
             }
-        },
-        Term::Const(c) => kb.concept_id(c) == Some(id),
+            Seed::Feat(pos, c) => {
+                self.feat_done[pos] = true;
+                self.bind(rule.feats[pos].term, c)
+            }
+            Seed::Head(x, y) => self.bind(rule.head.sub, x) && self.bind(rule.head.obj, y),
+        };
+        if seeded {
+            self.step(kb, rule, 0);
+        }
+        &self.heads
+    }
+
+    fn value(&self, arg: Arg) -> Option<u32> {
+        match arg {
+            Arg::Slot(v) => self.env[v],
+            Arg::Id(c) => Some(c),
+        }
+    }
+
+    /// Binds `arg` to `id`: a free slot takes it; a bound slot or a
+    /// constant must already equal it. A variable repeated within a rule
+    /// is therefore a check, never an overwrite.
+    fn bind(&mut self, arg: Arg, id: u32) -> bool {
+        match arg {
+            Arg::Slot(v) => match self.env[v] {
+                Some(bound) => bound == id,
+                None => {
+                    self.env[v] = Some(id);
+                    true
+                }
+            },
+            Arg::Id(c) => c == id,
+        }
+    }
+
+    /// One level of the backtracking join; returns `false` once a
+    /// `first_only` join has its binding.
+    ///
+    /// Bound feature atoms go first (cheap filters). Then the edge atom
+    /// with the most bound terms — the last one among ties — is matched:
+    /// fully bound, by one interval lookup; half bound, by enumerating one
+    /// successor or predecessor row; unbound, by enumerating every
+    /// concept's successor row (rules are expected to be range-connected,
+    /// so only the naive fixpoint starts there). Feature atoms over free
+    /// variables enumerate the feature index once no edge atom is left.
+    fn step(&mut self, kb: &KnowledgeBase, rule: &Compiled, depth: usize) -> bool {
+        let bound_feat = (0..rule.feats.len())
+            .find(|&i| !self.feat_done[i] && self.value(rule.feats[i].term).is_some());
+        if let Some(fi) = bound_feat {
+            let fa = &rule.feats[fi];
+            let c = self.value(fa.term).expect("found bound");
+            if !kb.features[c as usize].contains(&fa.feature) {
+                return true;
+            }
+            self.feat_done[fi] = true;
+            let go = self.step(kb, rule, depth);
+            self.feat_done[fi] = false;
+            return go;
+        }
+        let pick = (0..rule.body.len())
+            .filter(|&i| !self.edge_done[i])
+            .max_by_key(|&i| {
+                let a = &rule.body[i];
+                self.value(a.sub).is_some() as usize + self.value(a.obj).is_some() as usize
+            });
+        let Some(ai) = pick else {
+            let Some(fi) = (0..rule.feats.len()).find(|&i| !self.feat_done[i]) else {
+                return self.emit(rule);
+            };
+            let fa = &rule.feats[fi];
+            let Arg::Slot(v) = fa.term else {
+                unreachable!("constants are always bound")
+            };
+            let Some(ids) = kb.feat_index.get(&fa.feature) else {
+                return true;
+            };
+            self.feat_done[fi] = true;
+            let mut go = true;
+            for &c in ids {
+                self.env[v] = Some(c);
+                go = self.step(kb, rule, depth);
+                if !go {
+                    break;
+                }
+            }
+            self.env[v] = None;
+            self.feat_done[fi] = false;
+            return go;
+        };
+        let atom = &rule.body[ai];
+        let clos = kb.clos(atom.pred);
+        self.edge_done[ai] = true;
+        let go = match (
+            atom.sub,
+            atom.obj,
+            self.value(atom.sub),
+            self.value(atom.obj),
+        ) {
+            (_, _, Some(s), Some(o)) => !kb.holds(atom.pred, s, o) || self.step(kb, rule, depth),
+            (_, Arg::Slot(v), Some(s), None) => self.each_in_row(kb, rule, depth, v, s, |row| {
+                clos.successors_into(NodeId(s), row)
+            }),
+            (Arg::Slot(v), _, None, Some(o)) => self.each_in_row(kb, rule, depth, v, o, |row| {
+                clos.predecessors_into(NodeId(o), row)
+            }),
+            // `isa(X, X)` asks for a reflexive pair, which the strict
+            // relations never hold.
+            (Arg::Slot(vs), Arg::Slot(vo), None, None) if vs != vo => {
+                let mut go = true;
+                for s in 0..kb.concept_count() as u32 {
+                    self.env[vs] = Some(s);
+                    go = self.each_in_row(kb, rule, depth, vo, s, |row| {
+                        clos.successors_into(NodeId(s), row)
+                    });
+                    if !go {
+                        break;
+                    }
+                }
+                self.env[vs] = None;
+                go
+            }
+            _ => true,
+        };
+        self.edge_done[ai] = false;
+        go
+    }
+
+    /// Binds slot `v` to each node of the row `fill` writes, `except`
+    /// excluded (the relations are strict), and joins the rest one level
+    /// deeper. The row lives in this depth's reused buffer.
+    fn each_in_row(
+        &mut self,
+        kb: &KnowledgeBase,
+        rule: &Compiled,
+        depth: usize,
+        v: usize,
+        except: u32,
+        fill: impl FnOnce(&mut Vec<NodeId>),
+    ) -> bool {
+        if self.rows.len() <= depth {
+            self.rows.resize_with(depth + 1, Vec::new);
+        }
+        let mut row = std::mem::take(&mut self.rows[depth]);
+        fill(&mut row);
+        let mut go = true;
+        for &t in &row {
+            if t.0 == except {
+                continue;
+            }
+            self.env[v] = Some(t.0);
+            go = self.step(kb, rule, depth + 1);
+            if !go {
+                break;
+            }
+        }
+        self.env[v] = None;
+        self.rows[depth] = row;
+        go
+    }
+
+    /// Records the head of a total binding.
+    fn emit(&mut self, rule: &Compiled) -> bool {
+        let head = |arg| {
+            self.value(arg)
+                .expect("range restriction binds head variables")
+        };
+        let pair = (head(rule.head.sub), head(rule.head.obj));
+        self.heads.push(pair);
+        !self.first_only
     }
 }
 
@@ -1230,6 +1332,174 @@ fn parse_term(s: &str) -> Term {
         Term::Var(s.to_string())
     } else {
         Term::Const(s.to_string())
+    }
+}
+
+/// The string-environment join the compiled kernel replaced, kept as the
+/// differential reference for it: variables bind by name in a hash map and
+/// constants resolve by name on every use. Its only change is the fully
+/// unbound arm, which binds the object through `bind_term` so a repeated
+/// variable is checked instead of overwritten.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use tc_graph::NodeId;
+
+    use super::{KnowledgeBase, Rule, Seed, Term};
+
+    type Env = HashMap<String, u32>;
+
+    /// Every head pair `rule` derives from `seed`, in join order.
+    pub(super) fn heads(kb: &KnowledgeBase, rule: &Rule, seed: Seed) -> Vec<(u32, u32)> {
+        let mut env = Env::new();
+        let (skip_edge, skip_feat, seeded) = match seed {
+            Seed::Free => (None, usize::MAX, true),
+            Seed::Body(pos, x, y) => (
+                Some(pos),
+                usize::MAX,
+                bind_term(&rule.body[pos].sub, x, &mut env, kb)
+                    && bind_term(&rule.body[pos].obj, y, &mut env, kb),
+            ),
+            Seed::Feat(pos, c) => (None, pos, bind_term(&rule.feats[pos].term, c, &mut env, kb)),
+            Seed::Head(x, y) => (
+                None,
+                usize::MAX,
+                bind_term(&rule.head.sub, x, &mut env, kb)
+                    && bind_term(&rule.head.obj, y, &mut env, kb),
+            ),
+        };
+        if !seeded {
+            return Vec::new();
+        }
+        let edge_todo: Vec<usize> = (0..rule.body.len())
+            .filter(|&i| Some(i) != skip_edge)
+            .collect();
+        let feat_todo: Vec<usize> = (0..rule.feats.len()).filter(|&i| i != skip_feat).collect();
+        let mut envs = Vec::new();
+        join(kb, rule, env, &edge_todo, &feat_todo, &mut envs);
+        envs.iter()
+            .map(|env| {
+                let head = |t| resolve(kb, t, env).expect("range-restricted head");
+                (head(&rule.head.sub), head(&rule.head.obj))
+            })
+            .collect()
+    }
+
+    fn join(
+        kb: &KnowledgeBase,
+        rule: &Rule,
+        env: Env,
+        edge_todo: &[usize],
+        feat_todo: &[usize],
+        out: &mut Vec<Env>,
+    ) {
+        for (slot, &fi) in feat_todo.iter().enumerate() {
+            let fa = &rule.feats[fi];
+            if let Some(c) = resolve(kb, &fa.term, &env) {
+                if !kb.features[c as usize].contains(&fa.feature) {
+                    return;
+                }
+                let rest = without(feat_todo, slot);
+                return join(kb, rule, env, edge_todo, &rest, out);
+            }
+        }
+        if edge_todo.is_empty() {
+            if let Some(&fi) = feat_todo.first() {
+                let fa = &rule.feats[fi];
+                let Term::Var(v) = &fa.term else {
+                    return;
+                };
+                let rest = without(feat_todo, 0);
+                if let Some(ids) = kb.feat_index.get(&fa.feature) {
+                    for &c in ids {
+                        let mut env2 = env.clone();
+                        env2.insert(v.clone(), c);
+                        join(kb, rule, env2, edge_todo, &rest, out);
+                    }
+                }
+                return;
+            }
+            out.push(env);
+            return;
+        }
+        let (slot, _) = edge_todo
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &i)| {
+                let a = &rule.body[i];
+                resolve(kb, &a.sub, &env).is_some() as usize
+                    + resolve(kb, &a.obj, &env).is_some() as usize
+            })
+            .expect("non-empty");
+        let atom = &rule.body[edge_todo[slot]];
+        let rest = without(edge_todo, slot);
+        let clos = kb.clos(atom.pred);
+        match (resolve(kb, &atom.sub, &env), resolve(kb, &atom.obj, &env)) {
+            (Some(s), Some(o)) => {
+                if kb.holds(atom.pred, s, o) {
+                    join(kb, rule, env, &rest, feat_todo, out);
+                }
+            }
+            (Some(s), None) => {
+                let Term::Var(v) = &atom.obj else { return };
+                for t in clos.successors(NodeId(s)).into_iter().filter(|t| t.0 != s) {
+                    let mut env2 = env.clone();
+                    env2.insert(v.clone(), t.0);
+                    join(kb, rule, env2, &rest, feat_todo, out);
+                }
+            }
+            (None, Some(o)) => {
+                let Term::Var(v) = &atom.sub else { return };
+                for s in clos
+                    .predecessors(NodeId(o))
+                    .into_iter()
+                    .filter(|s| s.0 != o)
+                {
+                    let mut env2 = env.clone();
+                    env2.insert(v.clone(), s.0);
+                    join(kb, rule, env2, &rest, feat_todo, out);
+                }
+            }
+            (None, None) => {
+                let Term::Var(vs) = &atom.sub else { return };
+                for s in 0..kb.concept_count() as u32 {
+                    for t in clos.successors(NodeId(s)).into_iter().filter(|t| t.0 != s) {
+                        let mut env2 = env.clone();
+                        env2.insert(vs.clone(), s);
+                        if bind_term(&atom.obj, t.0, &mut env2, kb) {
+                            join(kb, rule, env2, &rest, feat_todo, out);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn without(todo: &[usize], slot: usize) -> Vec<usize> {
+        let mut rest = todo.to_vec();
+        rest.remove(slot);
+        rest
+    }
+
+    fn resolve(kb: &KnowledgeBase, term: &Term, env: &Env) -> Option<u32> {
+        match term {
+            Term::Var(v) => env.get(v).copied(),
+            Term::Const(c) => kb.concept_id(c),
+        }
+    }
+
+    fn bind_term(term: &Term, id: u32, env: &mut Env, kb: &KnowledgeBase) -> bool {
+        match term {
+            Term::Var(v) => match env.get(v) {
+                Some(&bound) => bound == id,
+                None => {
+                    env.insert(v.clone(), id);
+                    true
+                }
+            },
+            Term::Const(c) => kb.concept_id(c) == Some(id),
+        }
     }
 }
 
@@ -1465,6 +1735,19 @@ mod tests {
     }
 
     #[test]
+    fn repeated_body_variables_are_checks_in_the_naive_gate_too() {
+        // `isa(X, X)` asks for a reflexive pair, which the strict relations
+        // never hold, so `odd` can never fire — neither incrementally nor
+        // in the naive re-derivation the gate compares against.
+        let mut kb = KnowledgeBase::new();
+        kb.define_rule("odd: isa(X, Y) :- partof(Y, X), isa(X, X)").unwrap();
+        kb.assert_fact(Pred::IsA, "r", "s").unwrap();
+        kb.assert_fact(Pred::PartOf, "w", "s").unwrap();
+        assert!(!kb.ask(Pred::IsA, "s", "w").unwrap());
+        assert_eq!(kb.check_against_naive(), Ok(()));
+    }
+
+    #[test]
     fn cycle_heads_are_rejected_and_counted() {
         let mut kb = KnowledgeBase::new();
         kb.define_rule("inv: isa(Y, X) :- isa(X, Y), feat(X, flip)").unwrap();
@@ -1601,6 +1884,101 @@ mod tests {
             }
             kb.check_against_naive()
                 .unwrap_or_else(|e| panic!("seed {seed} final: {e}"));
+        }
+    }
+
+    /// A random small program over concepts `c0..c5`, variables `X`,
+    /// `Y`, `Z` and features `f0`, `f1`: 1–3 edge atoms, up to two feature
+    /// atoms, constants and repeated variables included, and a head built
+    /// from body variables and constants.
+    fn random_rule(rng: &mut rand::rngs::StdRng, name: &str) -> String {
+        use rand::Rng;
+        fn term(rng: &mut rand::rngs::StdRng, used: &mut Vec<String>) -> String {
+            if rng.random_bool(0.75) {
+                let v = ["X", "Y", "Z"][rng.random_range(0..3usize)].to_string();
+                used.push(v.clone());
+                v
+            } else {
+                format!("c{}", rng.random_range(0..6))
+            }
+        }
+        let mut used = Vec::new();
+        let mut body = Vec::new();
+        for _ in 0..rng.random_range(1..=3) {
+            let pred = ["isa", "partof"][rng.random_range(0..2usize)];
+            let (a, b) = (term(rng, &mut used), term(rng, &mut used));
+            body.push(format!("{pred}({a}, {b})"));
+        }
+        for _ in 0..rng.random_range(0..=2) {
+            let t = term(rng, &mut used);
+            body.push(format!("feat({t}, f{})", rng.random_range(0..2)));
+        }
+        let mut head = [0, 1].map(|_| {
+            if used.is_empty() || rng.random_bool(0.2) {
+                format!("c{}", rng.random_range(0..6))
+            } else {
+                used[rng.random_range(0..used.len())].clone()
+            }
+        });
+        let pred = ["isa", "partof"][rng.random_range(0..2usize)];
+        let [a, b] = std::mem::take(&mut head);
+        format!("{name}: {pred}({a}, {b}) :- {}", body.join(", "))
+    }
+
+    proptest::proptest! {
+        /// The compiled slot join and the string-environment reference emit
+        /// the same head sequence — order included — from every seed the
+        /// engine uses: the empty seed (naive fixpoint), each body position
+        /// against every pair, each feature position against every concept,
+        /// and each head pair (derivability).
+        #[test]
+        fn compiled_join_matches_the_string_reference(seed in 0u64..u64::MAX) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut kb = KnowledgeBase::new();
+            let n = rng.random_range(3..=8u32);
+            for i in 0..n {
+                kb.concept(&format!("c{i}")).unwrap();
+            }
+            for _ in 0..rng.random_range(4..24) {
+                let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+                let pred = if rng.random_bool(0.5) { Pred::IsA } else { Pred::PartOf };
+                if a != b {
+                    kb.assert_fact(pred, &format!("c{a}"), &format!("c{b}")).unwrap();
+                }
+            }
+            for _ in 0..rng.random_range(0..8) {
+                let c = format!("c{}", rng.random_range(0..n));
+                kb.add_feature(&c, &format!("f{}", rng.random_range(0..2))).unwrap();
+            }
+            for r in 0..3 {
+                let text = random_rule(&mut rng, &format!("r{r}"));
+                kb.define_rule(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            }
+            let mut join = Join::default();
+            let concepts = kb.concept_count() as u32;
+            for (rule, compiled) in kb.rules.iter().zip(&kb.compiled) {
+                let mut seeds = vec![Seed::Free];
+                for x in 0..concepts {
+                    for pos in 0..rule.feats.len() {
+                        seeds.push(Seed::Feat(pos, x));
+                    }
+                    for y in (0..concepts).filter(|&y| y != x) {
+                        seeds.push(Seed::Head(x, y));
+                        for pos in 0..rule.body.len() {
+                            seeds.push(Seed::Body(pos, x, y));
+                        }
+                    }
+                }
+                for seed in seeds {
+                    let want = reference::heads(&kb, rule, seed);
+                    let got = join.run(&kb, compiled, seed, false);
+                    proptest::prop_assert_eq!(got, &want[..], "{}: {:?}", rule.name, seed);
+                    let first = join.run(&kb, compiled, seed, true);
+                    proptest::prop_assert_eq!(first, &want[..want.len().min(1)]);
+                }
+            }
         }
     }
 }
