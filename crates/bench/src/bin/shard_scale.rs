@@ -211,12 +211,11 @@ impl Churn {
     }
 }
 
-/// Churn batch in the same shape `serve_scale` uses — arc inserts, leaf
-/// adds, and removals of this batch's own earlier inserts — but
-/// component-local (see [`Churn::arc_at`]), so per-shard writers see
-/// independent streams. The sharded front end validates each op and routes
-/// it to the owning shard's writer; cross-shard arcs go through boundary
-/// maintenance instead.
+/// Churn batch of arc inserts, leaf adds, and removals of this batch's own
+/// earlier inserts, all component-local (see [`Churn::arc_at`]), so
+/// per-shard writers see independent streams. The sharded front end
+/// validates each op and routes it to the owning shard's writer;
+/// cross-shard arcs go through boundary maintenance instead.
 fn churn_ops(k: u64, batch: usize, churn: Churn) -> Vec<ServiceOp> {
     (0..batch as u64)
         .map(|i| match i % 4 {

@@ -150,19 +150,36 @@ impl Args {
         Args { pairs }
     }
 
-    /// A `--key value` parsed as `T`, or `default`.
+    /// A `--key value` parsed as `T`, or `default` when `--key` is absent.
+    /// A `--key` without a value, or with one that does not parse, exits
+    /// with status 2 and a message naming the flag.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_ref())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let value = self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_deref());
+        parse_flag(key, value, default).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
     }
 
     /// Whether a bare `--switch` was passed.
     pub fn has(&self, key: &str) -> bool {
         self.pairs.iter().any(|(k, _)| k == key)
+    }
+}
+
+/// The value of `--key`: `value` is `None` when the flag is absent (then
+/// `default`) and `Some(None)` when it was given without a value.
+fn parse_flag<T: std::str::FromStr>(
+    key: &str,
+    value: Option<Option<&str>>,
+    default: T,
+) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(None) => Err(format!("--{key} needs a value")),
+        Some(Some(v)) => v
+            .parse()
+            .map_err(|_| format!("--{key} {v:?} is not a valid {}", std::any::type_name::<T>())),
     }
 }
 
@@ -217,6 +234,18 @@ mod tests {
         assert!((stddev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-12);
         assert_eq!(stddev(&[5.0]), 0.0);
         assert!(mean(&[]).is_nan());
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_flag() {
+        assert_eq!(parse_flag("nodes", None, 7usize), Ok(7));
+        assert_eq!(parse_flag("nodes", Some(Some("2000")), 7usize), Ok(2000));
+        assert_eq!(parse_flag("order", Some(Some("topo")), String::new()), Ok("topo".into()));
+        assert_eq!(
+            parse_flag("nodes", Some(Some("2k")), 7usize),
+            Err("--nodes \"2k\" is not a valid usize".into())
+        );
+        assert_eq!(parse_flag("reps", Some(None), 1usize), Err("--reps needs a value".into()));
     }
 
     #[test]

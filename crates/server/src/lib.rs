@@ -24,8 +24,8 @@
 //!   interval behind.
 //!
 //! The [`client::Client`] is the matching blocking connector used by the
-//! integration tests and the closed-loop load generator
-//! (`tc-bench/src/bin/serve_net.rs`).
+//! integration tests, the perf ledger's wire workloads and the
+//! `kb_scale` bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

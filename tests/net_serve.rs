@@ -147,15 +147,21 @@ fn one_write_per_drained_burst() {
 
 #[test]
 fn concurrent_clients_match_the_in_process_snapshot_reader() {
+    for clients in [3, 8] {
+        clients_match_the_in_process_snapshot_reader(clients);
+    }
+}
+
+fn clients_match_the_in_process_snapshot_reader(clients: u32) {
     let nodes = 40;
     let server = start_server(nodes, 7, 2);
     let addr = server.addr().to_string();
 
-    // Churn phase: three clients mix reads and writes over real sockets.
-    // Every response must be protocol-clean (`ok ...`): semantic rejections
-    // are fine, `err` is not.
+    // Churn phase: `clients` clients mix reads and writes over real
+    // sockets. Every response must be protocol-clean (`ok ...`): semantic
+    // rejections are fine, `err` is not.
     std::thread::scope(|scope| {
-        for t in 0..3u32 {
+        for t in 0..clients {
             let addr = addr.clone();
             scope.spawn(move || {
                 let mut c = Client::connect(&addr).unwrap();
@@ -174,7 +180,7 @@ fn concurrent_clients_match_the_in_process_snapshot_reader() {
                         let resp = c.request(req).unwrap();
                         assert!(
                             resp.starts_with("ok"),
-                            "protocol error during churn: {req:?} -> {resp:?}"
+                            "protocol error during churn ({clients} clients): {req:?} -> {resp:?}"
                         );
                     }
                 }
@@ -200,7 +206,7 @@ fn concurrent_clients_match_the_in_process_snapshot_reader() {
             assert_eq!(
                 net.reaches(a, b).unwrap(),
                 Ok(reader.reaches(ia, ib)),
-                "network reaches({a}, {b}) diverged from the snapshot reader"
+                "{clients} clients: network reaches({a}, {b}) diverged from the snapshot reader"
             );
         }
     }
@@ -211,7 +217,7 @@ fn concurrent_clients_match_the_in_process_snapshot_reader() {
             reader.successors(id).iter().filter_map(|&v| dict.key(v)).collect();
         want.sort_unstable();
         let got: Vec<&str> = resp.strip_prefix("ok").unwrap().split_whitespace().collect();
-        assert_eq!(got, want, "successors({k}) diverged");
+        assert_eq!(got, want, "{clients} clients: successors({k}) diverged");
     }
 
     assert_eq!(server.caught_panics(), 0);
