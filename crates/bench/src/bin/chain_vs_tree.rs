@@ -47,7 +47,7 @@ fn measure(name: &str, g: &DiGraph, table: &mut Table, violations: &mut usize) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "seeds"]);
     let nodes: usize = args.get("nodes", 200);
     let seeds: u64 = args.get("seeds", 3);
 

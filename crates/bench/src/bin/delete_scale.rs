@@ -111,7 +111,7 @@ fn time_mode(base: &CompressedClosure, dels: &[Deletion], scoped: bool) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "degree", "seed", "ops", "threads"]);
     let nodes = args.get("nodes", 50_000usize);
     let degree = args.get("degree", 3.0f64);
     let seed = args.get("seed", 42u64);

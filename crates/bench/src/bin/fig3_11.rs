@@ -13,7 +13,7 @@ use tc_core::CompressedClosure;
 use tc_graph::generators::{random_dag, RandomDagConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["degree", "seeds", "max-nodes"]);
     let degree: f64 = args.get("degree", 2.0);
     let seeds: u64 = args.get("seeds", 3);
     let max_nodes: usize = args.get("max-nodes", 3200);

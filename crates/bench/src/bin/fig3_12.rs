@@ -96,7 +96,7 @@ fn print_census(label: &str, n: usize, census: &Census, csv: &str) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["threads", "sample", "exhaustive"]);
     let threads: usize = args.get(
         "threads",
         std::thread::available_parallelism().map_or(4, |p| p.get()),

@@ -29,6 +29,8 @@ fn save(name: &str, closure: &CompressedClosure) {
 }
 
 fn main() {
+    // No flags: any argument exits 2 instead of being ignored.
+    tc_bench::Args::parse(&[]);
     // Fig 3.1 — a tree with contiguous postorder labels.
     let tree = DiGraph::from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]);
     save("fig3_1", &ClosureConfig::new().gap(1).build(&tree).unwrap());

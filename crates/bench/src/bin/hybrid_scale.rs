@@ -48,7 +48,18 @@ use tc_core::ClosureConfig;
 use tc_graph::{generators, NodeId};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "layers",
+        "width",
+        "degree",
+        "seed",
+        "order",
+        "sources",
+        "threshold",
+        "probes",
+        "decodes",
+        "reps",
+    ]);
     let layers: usize = args.get("layers", 96);
     let width: usize = args.get("width", 700);
     let degree: usize = args.get("degree", 3);

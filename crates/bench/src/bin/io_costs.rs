@@ -20,7 +20,7 @@ use tc_graph::NodeId;
 use tc_store::{AdjStore, BufferPool, LabelStore, TcListStore};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "degree", "queries", "page", "pool"]);
     // Defaults sized so no layout fits entirely in the buffer pool — the
     // regime the paper's §2.2 motivation is about.
     let nodes: usize = args.get("nodes", 5000);

@@ -36,7 +36,7 @@ use tc_core::{ClosureConfig, CompressedClosure, PagedPlane};
 use tc_graph::{generators, NodeId};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "degree", "seed", "probes", "decodes", "reps"]);
     let nodes: usize = args.get("nodes", 40_000);
     let degree: f64 = args.get("degree", 3.0);
     let seed: u64 = args.get("seed", 1);

@@ -122,7 +122,16 @@ impl Harness {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "layers",
+        "width",
+        "windows",
+        "ops-per-window",
+        "queries-per-window",
+        "retract-pct",
+        "seed",
+        "shards",
+    ]);
     let layers: usize = args.get("layers", 6).max(2);
     let width: usize = args.get("width", 48).max(1);
     let windows: usize = args.get("windows", 6);

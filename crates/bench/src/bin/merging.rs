@@ -12,7 +12,7 @@ use tc_core::ClosureConfig;
 use tc_graph::generators::{random_dag, RandomDagConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "seeds", "max-degree"]);
     let nodes: usize = args.get("nodes", 1000);
     let seeds: u64 = args.get("seeds", 3);
     let max_degree: u64 = args.get("max-degree", 8);

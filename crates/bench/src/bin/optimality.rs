@@ -15,7 +15,7 @@ use tc_core::{ClosureConfig, CompressedClosure, CoverStrategy};
 use tc_graph::generators::{dag_from_mask, enumerate_dag_masks, random_dag, RandomDagConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["mask-nodes", "random-nodes", "random-graphs"]);
     let mask_nodes: usize = args.get("mask-nodes", 6);
     let random_nodes: usize = args.get("random-nodes", 9);
     let random_graphs: u64 = args.get("random-graphs", 50);

@@ -23,7 +23,7 @@ use tc_core::{ClosureConfig, CompressedClosure};
 use tc_graph::{generators, NodeId};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "degree", "seed", "reps", "pairs", "threads"]);
     let nodes: usize = args.get("nodes", 50_000);
     let degree: f64 = args.get("degree", 3.0);
     let seed: u64 = args.get("seed", 1);

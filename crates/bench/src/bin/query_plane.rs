@@ -35,7 +35,16 @@ struct Measurement {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "nodes",
+        "degree",
+        "seed",
+        "reps",
+        "probes",
+        "pairs",
+        "decodes",
+        "threads",
+    ]);
     let nodes: usize = args.get("nodes", 50_000);
     let degree: f64 = args.get("degree", 3.0);
     let seed: u64 = args.get("seed", 1);

@@ -33,8 +33,9 @@
 //! ```
 //!
 //! Writes `results/shard_scale.csv`: one row per shard count with writer
-//! ops/s, read-only and under-churn probes/s, cross-arc and boundary
-//! sizes, and scaling ratios against the 1-shard row.
+//! ops/s, read-only and under-churn probes/s, the cross-arc and boundary
+//! sizes the best churn rep left behind, and scaling ratios against the
+//! 1-shard row.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -50,6 +51,8 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// One row per shard count.
 struct Measurement {
     shards: usize,
+    /// Cross-shard arcs and boundary nodes after the best churn rep (the
+    /// generated components are independent, so both start at zero).
     cross_arcs: usize,
     boundary: usize,
     /// Churn ops submitted+flushed per second (best of reps).
@@ -63,7 +66,17 @@ struct Measurement {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "nodes",
+        "degree",
+        "seed",
+        "pairs",
+        "duration-ms",
+        "reps",
+        "readers",
+        "churn-batch",
+        "components",
+    ]);
     let nodes: usize = args.get("nodes", 20_000);
     let degree: f64 = args.get("degree", 3.0);
     let seed: u64 = args.get("seed", 1);
@@ -284,8 +297,8 @@ fn sharded_cell(
 ) -> Measurement {
     let mut best = Measurement {
         shards,
-        cross_arcs: sharded.cross_arc_count(),
-        boundary: sharded.boundary_size(),
+        cross_arcs: 0,
+        boundary: 0,
         write_ops: 0.0,
         applied: 0,
         read_qps: 0.0,
@@ -339,7 +352,7 @@ fn sharded_cell(
                 churn_batch as u64
             },
         );
-        let (stats, _) = service.shutdown();
+        let (stats, after) = service.shutdown();
         if let Some(v) = stats.audit_violation {
             panic!("shard audit failed during churn: {v}");
         }
@@ -347,6 +360,8 @@ fn sharded_cell(
             best.write_ops = write_ops;
             best.applied = stats.applied;
             best.churn_qps = churn_qps;
+            best.cross_arcs = after.cross_arc_count();
+            best.boundary = after.boundary_size();
         }
     }
     eprintln!(

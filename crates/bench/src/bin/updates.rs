@@ -22,7 +22,7 @@ fn micros_per_op(total: std::time::Duration, ops: usize) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "ops"]);
     let nodes: usize = args.get("nodes", 2000);
     let ops: usize = args.get("ops", 200);
 

@@ -12,7 +12,7 @@ use tc_core::ClosureConfig;
 use tc_graph::generators::{bipartite_with_hub, bipartite_worst};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["max-half"]);
     let max_half: usize = args.get("max-half", 64);
 
     let mut table = Table::new(

@@ -122,38 +122,56 @@ pub fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// Minimal flag parser: `--key value` pairs and bare `--switch`es.
-#[derive(Debug, Clone, Default)]
+/// Minimal flag parser: `--key value` pairs and bare `--switch`es, checked
+/// against the flags a bin reads.
+#[derive(Debug, Clone)]
 pub struct Args {
     pairs: Vec<(String, Option<String>)>,
+    known: &'static [&'static str],
 }
 
 impl Args {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
+    /// Parses the process arguments. `known` names every flag the bin
+    /// reads; any other argument exits with status 2 and a message naming
+    /// it, before the bin does any work.
+    pub fn parse(known: &'static [&'static str]) -> Self {
         let raw: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_raw(&raw, known).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    fn from_raw(raw: &[String], known: &'static [&'static str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut ix = 0;
         while ix < raw.len() {
-            let key = raw[ix].trim_start_matches("--").to_string();
+            let key = raw[ix]
+                .strip_prefix("--")
+                .filter(|key| known.contains(key))
+                .ok_or_else(|| {
+                    let flags: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                    if flags.is_empty() {
+                        format!("unknown flag {:?}; this bin takes no flags", raw[ix])
+                    } else {
+                        format!("unknown flag {:?}; this bin reads {}", raw[ix], flags.join(" "))
+                    }
+                })?;
             let value = raw
                 .get(ix + 1)
                 .filter(|next| !next.starts_with("--"))
                 .cloned();
-            if value.is_some() {
-                ix += 2;
-            } else {
-                ix += 1;
-            }
-            pairs.push((key, value));
+            ix += if value.is_some() { 2 } else { 1 };
+            pairs.push((key.to_string(), value));
         }
-        Args { pairs }
+        Ok(Args { pairs, known })
     }
 
     /// A `--key value` parsed as `T`, or `default` when `--key` is absent.
     /// A `--key` without a value, or with one that does not parse, exits
     /// with status 2 and a message naming the flag.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.check_known(key);
         let value = self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_deref());
         parse_flag(key, value, default).unwrap_or_else(|msg| {
             eprintln!("error: {msg}");
@@ -163,7 +181,14 @@ impl Args {
 
     /// Whether a bare `--switch` was passed.
     pub fn has(&self, key: &str) -> bool {
+        self.check_known(key);
         self.pairs.iter().any(|(k, _)| k == key)
+    }
+
+    /// A read of a flag missing from `known` is a bug in the bin: the
+    /// parser would have rejected that flag on the command line.
+    fn check_known(&self, key: &str) {
+        assert!(self.known.contains(&key), "--{key} is read but not declared to Args::parse");
     }
 }
 
@@ -246,6 +271,26 @@ mod tests {
             Err("--nodes \"2k\" is not a valid usize".into())
         );
         assert_eq!(parse_flag("reps", Some(None), 1usize), Err("--reps needs a value".into()));
+    }
+
+    #[test]
+    fn unknown_flags_are_named_not_ignored() {
+        const KNOWN: &[&str] = &["nodes", "reps"];
+        let raw = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let args = Args::from_raw(&raw(&["--nodes", "100", "--reps"]), KNOWN).unwrap();
+        assert_eq!(args.get("nodes", 7usize), 100);
+        assert!(args.has("reps"));
+        let err = Args::from_raw(&raw(&["--node", "100"]), KNOWN).unwrap_err();
+        assert!(err.starts_with("unknown flag \"--node\""), "{err}");
+        assert!(err.ends_with("--nodes --reps"), "{err}");
+        let err = Args::from_raw(&raw(&["--nodes", "1", "stray", "2"]), KNOWN).unwrap_err();
+        assert!(err.starts_with("unknown flag \"stray\""), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed is read but not declared")]
+    fn reading_an_undeclared_flag_panics() {
+        Args::from_raw(&[], &["nodes"]).unwrap().get("seed", 1u64);
     }
 
     #[test]

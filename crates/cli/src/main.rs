@@ -11,7 +11,6 @@
 //! interval-tc dot <graph>                   Graphviz with interval labels
 //! interval-tc compress <graph> <out.itc>    persist the closure
 //! interval-tc gen <nodes> <degree> [seed]   emit a random §3.3 edge list
-//! interval-tc bench <graph> [--queries N]   time point/batch/predecessor queries
 //! interval-tc serve <graph> [flags]         concurrent snapshot-serving benchmark
 //! interval-tc serve <graph> --listen ADDR   network daemon (line protocol, string keys)
 //! interval-tc kb <script>                   run a knowledge-base command script
@@ -66,7 +65,6 @@ const USAGE: &str = "usage:
   interval-tc dot <graph>
   interval-tc compress <graph> <out.itc>
   interval-tc gen <nodes> <degree> [seed]
-  interval-tc bench <graph> [--queries N]
   interval-tc serve <graph> [--readers N] [--duration-ms D] [--churn]
   interval-tc serve <graph> --listen ADDR
   interval-tc kb <script> [--check]
@@ -101,10 +99,6 @@ global flags: --threads N   build/query on N worker threads (0 = one per CPU)
                             --paged the bitset overlay rides the plane file as
                             a resident HYB1 section
 <graph> = edge-list file ('src dst' lines, '-' for stdin) or a .itc closure
-
-bench: builds (or loads) the closure, then times single-probe reaches, batch
-reaches, successors and predecessors over a deterministic query mix; combine
-with --frozen / --threads to compare query paths.
 
 serve: spins up the sharded serving layer (--shards pieces, default 1;
 lock-free snapshot readers, one background writer per shard behind a
@@ -195,7 +189,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "dot" => dot(arg(&args, 1)?, globals),
         "compress" => compress(arg(&args, 1)?, arg(&args, 2)?, globals),
         "gen" => gen(&args),
-        "bench" => bench(&args, globals),
         "serve" => serve(&args, globals),
         "kb" => kb(&args),
         "fuzz" => fuzz(&args, globals),
@@ -481,97 +474,6 @@ fn compress(path: &str, out: &str, globals: Globals) -> Result<(), String> {
         s.closure_size,
         bytes.len(),
         if paged { " (with plane section for instant restart)" } else { "" }
-    );
-    Ok(())
-}
-
-/// Times the query surface over a deterministic mix: single `reaches`
-/// probes, one `reaches_batch` sweep, and `successors`/`predecessors`
-/// decodes for a sample of nodes. The same multiplicative-hash pair
-/// sequence the fuzz oracle uses keeps runs comparable across
-/// `--frozen`/`--threads` settings.
-fn bench(args: &[String], globals: Globals) -> Result<(), String> {
-    let path = arg(args, 1)?;
-    let mut queries = 1_000_000usize;
-    let mut it = args.iter().skip(2);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--queries" => {
-                let v = it.next().ok_or("--queries requires a value")?;
-                queries = v.parse().map_err(|_| "invalid --queries")?;
-            }
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-    let build_start = std::time::Instant::now();
-    let closure = load(path, globals)?;
-    let build = build_start.elapsed();
-    let n = closure.node_count();
-    if n == 0 {
-        return Err("empty graph: nothing to bench".into());
-    }
-    println!(
-        "loaded {} nodes / {} arcs in {:.3}s (threads {}, {})",
-        n,
-        closure.graph().edge_count(),
-        build.as_secs_f64(),
-        closure.threads(),
-        if closure.is_frozen() { "frozen" } else { "mutable" },
-    );
-
-    let pairs: Vec<(NodeId, NodeId)> = (0..queries as u64)
-        .map(|k| {
-            let s = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
-            let d = (k.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) >> 32) as usize % n;
-            (NodeId(s as u32), NodeId(d as u32))
-        })
-        .collect();
-
-    let start = std::time::Instant::now();
-    let mut hits = 0usize;
-    for &(s, d) in &pairs {
-        hits += usize::from(closure.reaches(s, d));
-    }
-    let single = start.elapsed();
-    println!(
-        "reaches       {queries} probes in {:.3}s  ({:.1} ns/probe, {hits} reachable)",
-        single.as_secs_f64(),
-        single.as_nanos() as f64 / queries as f64
-    );
-
-    let start = std::time::Instant::now();
-    let answers = closure.reaches_batch(&pairs);
-    let batch = start.elapsed();
-    let batch_hits = answers.iter().filter(|&&b| b).count();
-    if batch_hits != hits {
-        return Err(format!("batch disagrees with single probes: {batch_hits} vs {hits}"));
-    }
-    println!(
-        "reaches_batch {queries} probes in {:.3}s  ({:.1} ns/probe)",
-        batch.as_secs_f64(),
-        batch.as_nanos() as f64 / queries as f64
-    );
-
-    let sample: Vec<NodeId> = (0..(queries / 100).clamp(1, n) as u64)
-        .map(|k| NodeId(((k.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 32) as usize % n) as u32))
-        .collect();
-    let start = std::time::Instant::now();
-    let succ_total: usize = sample.iter().map(|&v| closure.successor_count(v)).sum();
-    let succ = start.elapsed();
-    println!(
-        "successors    {} decodes in {:.3}s  ({:.1} us/decode, {succ_total} reachable total)",
-        sample.len(),
-        succ.as_secs_f64(),
-        succ.as_micros() as f64 / sample.len() as f64
-    );
-    let start = std::time::Instant::now();
-    let pred_total: usize = sample.iter().map(|&v| closure.predecessors(v).len()).sum();
-    let pred = start.elapsed();
-    println!(
-        "predecessors  {} queries in {:.3}s  ({:.1} us/query, {pred_total} reaching total)",
-        sample.len(),
-        pred.as_secs_f64(),
-        pred.as_micros() as f64 / sample.len() as f64
     );
     Ok(())
 }

@@ -1,28 +1,27 @@
-//! Delta-reporting arc updates for incremental inference clients.
+//! Delta-reporting arc insertion for incremental inference clients.
 //!
 //! A rule engine doing semi-naive evaluation needs to know exactly which
-//! reachability pairs an arc update flipped: newly-true pairs seed the next
-//! forward-chaining round, newly-false pairs seed over-deletion. For the arc
-//! `(src, dst)` the candidates are precisely `predecessors*(src) ×
-//! successors*(dst)` — any pair outside that rectangle has the same witness
-//! paths before and after the update — so both hooks capture the rectangle
-//! against the *pre-update* closure, apply the regular §4 update
-//! (`add_edge` / `remove_edge`, the latter running the scoped §4.2
-//! recompute), and report the pairs whose truth value moved.
+//! reachability pairs an arc insertion made true: those pairs seed the next
+//! forward-chaining round. For the arc `(src, dst)` the candidates are
+//! precisely `predecessors*(src) × successors*(dst)` — any pair outside
+//! that rectangle has the same witness paths before and after the update —
+//! so the hook captures the rectangle against the *pre-update* closure,
+//! applies the regular §4.1 `add_edge`, and reports the pairs whose truth
+//! value moved.
 
 use tc_graph::NodeId;
 
 use crate::updates::UpdateError;
 use crate::CompressedClosure;
 
-/// The reachability pairs flipped by one arc update.
+/// The reachability pairs one arc insertion made true.
 ///
 /// `sources` and `targets` are the affected rectangle's axes as captured
 /// before the update: every node that reached the arc's source (including
 /// the source itself) and every node the arc's destination reached
 /// (including the destination). `changed` lists the `(from, to)` pairs
-/// within that rectangle whose `reaches` answer differs across the update —
-/// all newly true for an addition, all newly false for a removal.
+/// within that rectangle whose `reaches` answer was false before the
+/// insertion.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeDelta {
     /// `predecessors*(src)` at capture time, source included.
@@ -63,39 +62,6 @@ impl CompressedClosure {
             .into_iter()
             .zip(before)
             .filter_map(|(pair, was)| (!was).then_some(pair))
-            .collect();
-        Ok(EdgeDelta {
-            sources,
-            targets,
-            changed,
-        })
-    }
-
-    /// [`Self::remove_edge`] that also reports every reachability pair the
-    /// removal made false (pairs with a surviving witness path stay out of
-    /// `changed`). Runs the scoped §4.2 recompute internally, exactly like
-    /// `remove_edge`.
-    pub fn remove_edge_delta(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Result<EdgeDelta, UpdateError> {
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        if !self.graph().has_edge(src, dst) {
-            return Err(UpdateError::NoSuchEdge(src, dst));
-        }
-        let sources = self.predecessors(src);
-        let targets = self.successors(dst);
-        let pairs = rectangle(&sources, &targets);
-        self.remove_edge(src, dst)?;
-        // Every rectangle pair was true before (witnessed through the arc
-        // itself); the flips are the pairs that lost their last witness.
-        let after = self.reaches_batch(&pairs);
-        let changed = pairs
-            .into_iter()
-            .zip(after)
-            .filter_map(|(pair, still)| (!still).then_some(pair))
             .collect();
         Ok(EdgeDelta {
             sources,
@@ -184,35 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_delta_reports_exactly_the_lost_pairs() {
-        let mut c = diamond();
-        let before = pair_set(&c);
-        // (1,3) removal loses nothing: 3 is still reachable through 2.
-        let delta = c.remove_edge_delta(NodeId(1), NodeId(3)).unwrap();
-        let kept: BTreeSet<(u32, u32)> = pair_set(&c);
-        let flipped: BTreeSet<(u32, u32)> =
-            delta.changed.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        let expected: BTreeSet<(u32, u32)> = before.difference(&kept).copied().collect();
-        assert_eq!(flipped, expected);
-        assert_eq!(flipped, BTreeSet::from([(1, 3)]), "only 1 itself loses 3");
-        // Now (2,3) really disconnects 3 from everything above it.
-        let delta = c.remove_edge_delta(NodeId(2), NodeId(3)).unwrap();
-        let flipped: BTreeSet<(u32, u32)> =
-            delta.changed.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        assert_eq!(flipped, BTreeSet::from([(0, 3), (2, 3)]));
-        c.verify().unwrap();
-    }
-
-    #[test]
-    fn remove_delta_missing_edge_errors() {
-        let mut c = diamond();
-        assert_eq!(
-            c.remove_edge_delta(NodeId(3), NodeId(0)),
-            Err(UpdateError::NoSuchEdge(NodeId(3), NodeId(0)))
-        );
-    }
-
-    #[test]
     fn random_add_remove_deltas_match_ground_truth_diffs() {
         use rand::rngs::StdRng;
         use rand::seq::IndexedRandom;
@@ -226,31 +163,27 @@ mod tests {
             });
             let mut c = ClosureConfig::new().gap(32).build(&g).unwrap();
             for step in 0..60 {
-                let before = pair_set(&c);
-                let reported: Option<BTreeSet<(u32, u32)>> = if rng.random_bool(0.6) {
+                if rng.random_bool(0.6) {
                     let src = NodeId(rng.random_range(0..c.node_count() as u32));
                     let dst = NodeId(rng.random_range(0..c.node_count() as u32));
                     if src == dst || c.reaches(dst, src) {
                         continue;
                     }
+                    let before = pair_set(&c);
                     let d = c.add_edge_delta(src, dst).unwrap();
-                    Some(d.changed.iter().map(|&(a, b)| (a.0, b.0)).collect())
+                    let reported: BTreeSet<(u32, u32)> =
+                        d.changed.iter().map(|&(a, b)| (a.0, b.0)).collect();
+                    let expected: BTreeSet<(u32, u32)> =
+                        pair_set(&c).difference(&before).copied().collect();
+                    assert_eq!(
+                        reported, expected,
+                        "seed {seed} step {step}: delta disagrees with ground truth"
+                    );
                 } else {
                     let edges: Vec<(NodeId, NodeId)> = c.graph().edges().collect();
                     let Some(&(s, d)) = edges.choose(&mut rng) else { continue };
-                    let d = c.remove_edge_delta(s, d).unwrap();
-                    Some(d.changed.iter().map(|&(a, b)| (a.0, b.0)).collect())
-                };
-                let after = pair_set(&c);
-                let expected: BTreeSet<(u32, u32)> = before
-                    .symmetric_difference(&after)
-                    .copied()
-                    .collect();
-                assert_eq!(
-                    reported.unwrap(),
-                    expected,
-                    "seed {seed} step {step}: delta disagrees with ground truth"
-                );
+                    c.remove_edge(s, d).unwrap();
+                }
                 if step % 20 == 19 {
                     c.verify().unwrap();
                 }

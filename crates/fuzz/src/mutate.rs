@@ -207,18 +207,6 @@ where
     report
 }
 
-/// Replays a single campaign case against `decode`, returning the mutated
-/// bytes it fed in — the starting point for manual shrinking.
-pub fn replay_case<F>(base: &[u8], case_seed: u64, decode: F) -> (Vec<u8>, CaseOutcome)
-where
-    F: Fn(&[u8]) -> CaseOutcome,
-{
-    let mut rng = StdRng::seed_from_u64(case_seed);
-    let (bytes, _, _) = mutate(base, &mut rng);
-    let outcome = decode(&bytes);
-    (bytes, outcome)
-}
-
 /// The standard closure-codec campaign: mutate a mid-update closure stream
 /// and decode with [`tc_core::CompressedClosure::from_bytes`], deep-verifying
 /// anything the decoder accepts.

@@ -95,15 +95,6 @@ impl DiGraph {
         id
     }
 
-    /// Adds `count` nodes, returning the id of the first.
-    pub fn add_nodes(&mut self, count: usize) -> NodeId {
-        let first = NodeId::from_index(self.out_adj.len());
-        for _ in 0..count {
-            self.add_node();
-        }
-        first
-    }
-
     /// Adds the edge `src -> dst` if not already present.
     ///
     /// Returns `true` if the edge was newly added.

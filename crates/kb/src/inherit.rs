@@ -56,13 +56,6 @@ impl Inheritance {
         Ok(())
     }
 
-    /// The value defined *directly* on a concept, if any.
-    pub fn local_value(&self, id: ConceptId, property: &str) -> Option<&str> {
-        self.local
-            .get(&(id, property.to_string()))
-            .map(String::as_str)
-    }
-
     /// Resolves a property at `concept` by most-specific-provider-wins
     /// inheritance.
     pub fn effective(

@@ -26,18 +26,18 @@
 //!   fixpoint; it binds and unbinds slots in place, reuses one row buffer
 //!   per depth, and emits head pairs.
 //! * **Retraction is DRed-style** (delete and re-derive): the base fact's
-//!   arc is removed first — each removal running the §4.2 *scoped*
-//!   affected-region recompute inside `remove_edge` — and every removal
-//!   then over-deletes the derived facts whose rule bodies could have
-//!   routed through the removed arc: a body pair `(q, a, b)` is suspect
-//!   exactly when it lies in the removal's affected rectangle
-//!   `pred*(src) × succ*(dst)`, and the remaining body atoms are joined
-//!   against a pre-retraction snapshot so a derivation broken earlier in
-//!   the cascade is still enumerated. Once the cascade converges, every
-//!   casualty still derivable from the surviving model is re-added and
-//!   forward-chained back in. Because derivability is always judged with
-//!   the candidate's own arc absent, a fact can never justify itself (or a
-//!   partner in a mutual loop) through its own reachability.
+//!   arc goes first, and every removal over-deletes the derived facts
+//!   whose rule bodies could route through the removed arc — a body pair
+//!   `(q, a, b)` is suspect exactly when it lies in the arc's affected
+//!   rectangle `pred*(src) × succ*(dst)`. Each arc's suspects are joined
+//!   against the live model just before the arc is removed (by the §4.2
+//!   *scoped* recompute inside `remove_edge`). At that moment every atom
+//!   of a derivation this removal is the first to touch still holds, so
+//!   no snapshot of the pre-retraction model is needed. Once the cascade
+//!   converges, every casualty still derivable from the surviving model is
+//!   re-added and forward-chained back in. Because derivability is always
+//!   judged with the candidate's own arc absent, a fact can never justify
+//!   itself (or a partner in a mutual loop) through its own reachability.
 //! * **The differential gate** ([`KnowledgeBase::check_against_naive`])
 //!   replays the surviving base facts into a fresh knowledge base, runs a
 //!   genuinely naive all-rules/all-bindings fixpoint, and requires the two
@@ -515,14 +515,7 @@ impl KnowledgeBase {
             Some(fact) if fact.asserted => fact.asserted = false,
             _ => return Err(KbError::NotAsserted(pred, a.to_string(), b.to_string())),
         }
-        // Pre-retraction snapshot (journal excluded): the over-deletion
-        // joins complete against it, so a derivation whose other body atoms
-        // die earlier in the cascade is still enumerated.
-        let journal = std::mem::take(&mut self.journal);
-        let old = self.clone();
-        self.journal = journal;
-        self.remove_fact_edge(key)?;
-        self.dred_cascade(&old, key)?;
+        self.dred_cascade(key)?;
         Ok(if self.facts.contains_key(&key) {
             RetractOutcome::KeptDerived
         } else {
@@ -640,25 +633,25 @@ impl KnowledgeBase {
         }
     }
 
-    fn remove_fact_edge(&mut self, key: (Pred, u32, u32)) -> Result<EdgeDelta, KbError> {
+    fn remove_fact_edge(&mut self, key: (Pred, u32, u32)) -> Result<(), KbError> {
         let (pred, x, y) = key;
-        let delta = match pred {
+        match pred {
             Pred::IsA => self
                 .taxonomy
-                .remove_isa_delta(ConceptId(x), ConceptId(y))
+                .remove_isa(ConceptId(x), ConceptId(y))
                 .map_err(KbError::Taxonomy)?,
             Pred::PartOf => self
                 .part
-                .remove_edge_delta(NodeId(x), NodeId(y))
+                .remove_edge(NodeId(x), NodeId(y))
                 .map_err(KbError::Update)?,
-        };
+        }
         self.facts.remove(&key);
         self.journal.push(KbChange::EdgeRemoved {
             pred,
             src: x,
             dst: y,
         });
-        Ok(delta)
+        Ok(())
     }
 
     /// Compiles a parsed rule against this knowledge base: variables become
@@ -769,37 +762,36 @@ impl KnowledgeBase {
         }
     }
 
-    /// DRed cascade after `seed`'s arc has been removed: over-delete every
-    /// derived fact whose rule body could have routed through a removed
-    /// arc, then re-derive the casualties the surviving model still
-    /// justifies.
+    /// DRed cascade for the retraction of `seed`: remove its arc,
+    /// over-delete every derived fact whose rule body could have routed
+    /// through a removed arc, then re-derive the casualties the surviving
+    /// model still justifies.
     ///
     /// The over-deletion is driven by arcs, not recorded supports: removing
     /// arc `(q, u, v)` makes every same-relation body pair in the affected
     /// rectangle `pred*(u) × succ*(v)` suspect, and each suspect head is
-    /// removed in turn (enqueueing its own rectangle). Joining the other
-    /// body positions against the pre-retraction snapshot `old` keeps the
-    /// enumeration complete even when a derivation's remaining atoms were
-    /// broken by an earlier removal in the same cascade. This deletes a
+    /// removed in turn (enqueueing its own rectangle). Each arc's suspects
+    /// are joined against the live model just *before* the arc goes. That
+    /// is exact: over-deletion only ever removes arcs, so a removal can
+    /// falsify a pair only inside its own rectangle, and every derivation
+    /// is enumerated at the first removal whose rectangle holds one of its
+    /// atoms — when all of its atoms are still live. This deletes a
     /// superset of what is truly lost — including mutually-supporting
     /// derived facts whose grounding died — and the re-derive phase, which
-    /// only ever consults the live (grounded) model, restores the rest.
-    fn dred_cascade(
-        &mut self,
-        old: &KnowledgeBase,
-        seed: (Pred, u32, u32),
-    ) -> Result<(), KbError> {
+    /// only ever consults the surviving model, restores the rest.
+    fn dred_cascade(&mut self, seed: (Pred, u32, u32)) -> Result<(), KbError> {
         let mut casualties: Vec<(Pred, u32, u32)> = vec![seed];
-        let mut queue: VecDeque<(Pred, u32, u32)> = self.suspect_heads(old, seed).into();
+        let mut queue: VecDeque<(Pred, u32, u32)> = self.suspect_heads(seed).into();
+        self.remove_fact_edge(seed)?;
         while let Some(key) = queue.pop_front() {
             match self.facts.get(&key) {
                 Some(fact) if !fact.asserted => {}
                 _ => continue,
             }
+            queue.extend(self.suspect_heads(key));
             self.remove_fact_edge(key)?;
             self.stats.overdeleted += 1;
             casualties.push(key);
-            queue.extend(self.suspect_heads(old, key));
         }
         // Re-derive: restoring one casualty can justify another, so sweep
         // until a full pass restores nothing. Each restoration forward-
@@ -842,17 +834,11 @@ impl KnowledgeBase {
     }
 
     /// Heads of rule instantiations with a body pair in the affected
-    /// rectangle of the just-removed arc `(q, u, v)`: any such derivation
-    /// may have routed through the arc, so its head is an over-deletion
-    /// suspect. The rectangle is probed against the current closure (a path
-    /// `a → u` or `v → b` cannot use the arc `u → v` in a DAG, so pre- and
-    /// post-removal reachability agree); the remaining body atoms join
-    /// against the pre-retraction snapshot `old`.
-    fn suspect_heads(
-        &self,
-        old: &KnowledgeBase,
-        removed: (Pred, u32, u32),
-    ) -> Vec<(Pred, u32, u32)> {
+    /// rectangle of the arc `(q, u, v)` about to be removed: any such
+    /// derivation may route through the arc, so its head is an
+    /// over-deletion suspect. Called while the arc is still live, so the
+    /// whole join runs against the current model.
+    fn suspect_heads(&self, removed: (Pred, u32, u32)) -> Vec<(Pred, u32, u32)> {
         let (q, u, v) = removed;
         let clos = self.clos(q);
         let mut above: Vec<u32> = clos
@@ -871,7 +857,7 @@ impl KnowledgeBase {
         below.push(v);
         let mut join = Join::default();
         let mut out = Vec::new();
-        for rule in &old.compiled {
+        for rule in &self.compiled {
             for (pos, atom) in rule.body.iter().enumerate() {
                 if atom.pred != q {
                     continue;
@@ -881,7 +867,7 @@ impl KnowledgeBase {
                         if a == b {
                             continue;
                         }
-                        for &(hx, hy) in join.run(old, rule, Seed::Body(pos, a, b), false) {
+                        for &(hx, hy) in join.run(self, rule, Seed::Body(pos, a, b), false) {
                             if hx != hy {
                                 out.push((rule.head.pred, hx, hy));
                             }
@@ -1735,6 +1721,29 @@ mod tests {
     }
 
     #[test]
+    fn overdeletion_finds_derivations_that_lose_two_atoms_to_one_removal() {
+        // Removing isa(u, v) falsifies both isa(x, v) and isa(u, w), the
+        // two edge atoms of the only derivation of partof(x, w). Joined
+        // after the removal, neither atom seeds a binding the other still
+        // completes; joined before it, the derivation is found.
+        let mut kb = KnowledgeBase::new();
+        kb.define_rule("r: partof(X, W) :- isa(X, Y), feat(Y, k), isa(Z, W), feat(Z, m)")
+            .unwrap();
+        for (a, b) in [("x", "u"), ("u", "v"), ("v", "w")] {
+            kb.assert_fact(Pred::IsA, a, b).unwrap();
+        }
+        kb.add_feature("v", "k").unwrap();
+        kb.add_feature("u", "m").unwrap();
+        assert!(kb.ask(Pred::PartOf, "x", "w").unwrap());
+        assert_eq!(
+            kb.retract_fact(Pred::IsA, "u", "v").unwrap(),
+            RetractOutcome::Removed
+        );
+        assert!(!kb.ask(Pred::PartOf, "x", "w").unwrap());
+        kb.check_against_naive().unwrap();
+    }
+
+    #[test]
     fn repeated_body_variables_are_checks_in_the_naive_gate_too() {
         // `isa(X, X)` asks for a reflexive pair, which the strict relations
         // never hold, so `odd` can never fire — neither incrementally nor
@@ -1839,8 +1848,12 @@ mod tests {
         use rand::{Rng, SeedableRng};
         // Layered name spaces keep every asserted arc pointing "downhill",
         // so no head or assert can be cycle-rejected and the differential
-        // gate stays meaningful (cycle_rejected == 0 throughout).
-        for seed in 0..4u64 {
+        // gate stays meaningful (cycle_rejected == 0 throughout). The final
+        // (derived, overdeleted, rederived) counts are pinned per seed: the
+        // model is checked against the naive gate, the counts check that
+        // the cascade does the same work to get there.
+        let pinned = [(37, 43, 19), (49, 29, 10), (30, 19, 4), (82, 68, 34)];
+        for (seed, want) in (0..4u64).zip(pinned) {
             let mut rng = StdRng::seed_from_u64(seed * 7 + 1);
             let mut kb = KnowledgeBase::new();
             kb.define_rule("up: isa(X, Y) :- partof(X, Z), isa(Z, Y)").unwrap();
@@ -1884,6 +1897,8 @@ mod tests {
             }
             kb.check_against_naive()
                 .unwrap_or_else(|e| panic!("seed {seed} final: {e}"));
+            let st = kb.stats();
+            assert_eq!((st.derived, st.overdeleted, st.rederived), want, "seed {seed}");
         }
     }
 

@@ -188,22 +188,16 @@ impl Taxonomy {
         }
     }
 
-    /// Removes a direct IS-A arc by id, reporting every subsumption pair
-    /// that lost its last witness path. Runs the §4.2 scoped recompute
+    /// Removes a direct IS-A arc by id. Runs the §4.2 scoped recompute
     /// internally.
-    pub fn remove_isa_delta(
+    pub fn remove_isa(
         &mut self,
         general: ConceptId,
         specific: ConceptId,
-    ) -> Result<tc_core::EdgeDelta, TaxonomyError> {
+    ) -> Result<(), TaxonomyError> {
         self.closure
-            .remove_edge_delta(general.node(), specific.node())
+            .remove_edge(general.node(), specific.node())
             .map_err(TaxonomyError::Update)
-    }
-
-    /// Whether a *direct* IS-A arc exists between the two ids.
-    pub fn has_direct_isa(&self, general: ConceptId, specific: ConceptId) -> bool {
-        self.closure.graph().has_edge(general.node(), specific.node())
     }
 
     /// Interposes a new concept between `child`'s current parents and

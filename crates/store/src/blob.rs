@@ -38,11 +38,6 @@ impl BlobStore {
         BlobStore { pager, directory }
     }
 
-    /// Byte length of record `ix`.
-    pub fn record_len(&self, ix: usize) -> usize {
-        self.directory[ix].1 as usize
-    }
-
     /// Number of pages record `ix` spans (the cold-cache read cost).
     pub fn record_pages(&self, ix: usize) -> usize {
         let (off, len) = self.directory[ix];
