@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! cargo run --release -p tc-bench --bin delete_scale -- \
-//!     [--nodes N] [--degree D] [--seed S] [--ops K] [--threads T]
+//!     [--nodes N] [--degree D] [--seed S] [--ops K]
 //! ```
 
 use std::time::Instant;
@@ -111,12 +111,11 @@ fn time_mode(base: &CompressedClosure, dels: &[Deletion], scoped: bool) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse(&["nodes", "degree", "seed", "ops", "threads"]);
+    let args = Args::parse(&["nodes", "degree", "seed", "ops"]);
     let nodes = args.get("nodes", 50_000usize);
     let degree = args.get("degree", 3.0f64);
     let seed = args.get("seed", 42u64);
     let ops = args.get("ops", 24usize);
-    let threads = args.get("threads", 1usize);
 
     let g = generators::random_dag(generators::RandomDagConfig {
         nodes,
@@ -124,12 +123,11 @@ fn main() {
         seed,
     });
     println!(
-        "building closure: {} nodes, {} arcs (degree {degree}, seed {seed}, threads {threads})",
+        "building closure: {} nodes, {} arcs (degree {degree}, seed {seed})",
         g.node_count(),
         g.edge_count()
     );
     let base = ClosureConfig::new()
-        .threads(threads)
         .build(&g)
         .expect("random_dag is acyclic");
 

@@ -7,7 +7,8 @@
 //! [`tc_core::QueryPlane`], reporting the frozen/mutable speedup per
 //! (query kind, thread count). Before any number is reported, frozen
 //! answers are checked to be identical to mutable ones over the full probe
-//! sets.
+//! sets, and `--threads` batches to single-threaded ones, frozen and
+//! mutable.
 //!
 //! ```text
 //! query_plane [--nodes 50000] [--degree 3.0] [--seed 1]
@@ -82,7 +83,7 @@ fn main() {
         start.elapsed().as_secs_f64(),
         closure.plane().expect("just frozen").total_intervals()
     );
-    check_equivalence(&mut closure, &pairs, &sample);
+    check_equivalence(&mut closure, &pairs, &sample, threads);
 
     let mut cells: Vec<Measurement> = Vec::new();
     for frozen in [false, true] {
@@ -173,24 +174,51 @@ fn mutable_ms(cells: &[Measurement], query: &str, threads: usize) -> Option<f64>
         .map(|c| c.ms)
 }
 
-/// Frozen answers must be identical to mutable ones; refuse to report
-/// numbers for a wrong answer. Leaves the closure thawed.
+/// Frozen answers must be identical to mutable ones, and `threads`-worker
+/// batches identical to single-threaded ones in both modes; refuse to
+/// report numbers for a wrong answer. Leaves the closure thawed.
 fn check_equivalence(
     closure: &mut CompressedClosure,
     pairs: &[(NodeId, NodeId)],
     sample: &[NodeId],
+    threads: usize,
 ) {
     assert!(closure.is_frozen());
-    let frozen_batch = closure.reaches_batch(pairs);
+    let frozen_batch = batch_at(closure, pairs, 1);
+    let threaded = batch_at(closure, pairs, threads);
+    assert_eq!(
+        frozen_batch, threaded,
+        "frozen reaches_batch diverges at {threads} threads"
+    );
     let frozen_succ: Vec<Vec<NodeId>> = sample.iter().map(|&v| closure.successors(v)).collect();
     let frozen_pred: Vec<Vec<NodeId>> = sample.iter().map(|&v| closure.predecessors(v)).collect();
     closure.thaw();
-    assert_eq!(frozen_batch, closure.reaches_batch(pairs), "reaches diverge");
+    assert_eq!(frozen_batch, batch_at(closure, pairs, 1), "reaches diverge");
+    let threaded = batch_at(closure, pairs, threads);
+    assert_eq!(
+        frozen_batch, threaded,
+        "mutable reaches_batch diverges at {threads} threads"
+    );
     for (ix, &v) in sample.iter().enumerate() {
         assert_eq!(frozen_succ[ix], closure.successors(v), "successors({v:?}) diverge");
         assert_eq!(frozen_pred[ix], closure.predecessors(v), "predecessors({v:?}) diverge");
     }
-    eprintln!("frozen answers identical to mutable over all probe sets");
+    eprintln!(
+        "frozen answers identical to mutable over all probe sets, \
+         batches identical at 1 and {threads} threads"
+    );
+}
+
+/// `reaches_batch` answers on `threads` workers; leaves the closure at one.
+fn batch_at(
+    closure: &mut CompressedClosure,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+) -> Vec<bool> {
+    closure.set_threads(threads);
+    let answers = closure.reaches_batch(pairs);
+    closure.set_threads(1);
+    answers
 }
 
 fn random_pairs(rng: &mut StdRng, nodes: usize, count: usize) -> Vec<(NodeId, NodeId)> {

@@ -209,16 +209,19 @@ impl Churn {
     /// Mostly component-local arc at hashed position `j`: shallow source
     /// within a hashed component, destination strictly ascending (global
     /// ids ascend within and across components, so ascending arcs can
-    /// never close a cycle). Every 128th arc jumps past its component's
-    /// end — a cross-component (usually cross-shard) arc that exercises
-    /// boundary maintenance without letting the boundary swamp the run.
+    /// never close a cycle). About every 128th arc jumps past its
+    /// component's end — a cross-component (usually cross-shard) arc that
+    /// exercises boundary maintenance without letting the boundary swamp
+    /// the run. The choice reads the hash's top bits: its low bits repeat
+    /// `j`'s residues, so they would never pick a `j ≡ 3 (mod 4)` arc.
     fn arc_at(&self, j: u64) -> (NodeId, NodeId) {
         let h = j.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let comp = (h >> 17) as usize % self.components;
         let base = comp * self.comp_size;
         let shallow = (self.comp_size / 10).max(1);
         let src = base + (h >> 32) as usize % shallow;
-        let end = if h & 0x7f == 0 { self.components * self.comp_size } else { base + self.comp_size };
+        let cross = h >> 57 == 0;
+        let end = if cross { self.components * self.comp_size } else { base + self.comp_size };
         let dst = src + 1 + (h >> 7) as usize % (end - src - 1);
         (NodeId(src as u32), NodeId(dst as u32))
     }
@@ -229,6 +232,10 @@ impl Churn {
 /// per-shard writers see independent streams. The sharded front end
 /// validates each op and routes it to the owning shard's writer;
 /// cross-shard arcs go through boundary maintenance instead.
+///
+/// Each 4-op group inserts arc `k+i`, adds a leaf, removes that arc again
+/// and inserts the group's last arc, which no other op touches, so a batch
+/// leaves `batch / 4` new arcs behind.
 fn churn_ops(k: u64, batch: usize, churn: Churn) -> Vec<ServiceOp> {
     (0..batch as u64)
         .map(|i| match i % 4 {
@@ -245,7 +252,7 @@ fn churn_ops(k: u64, batch: usize, churn: Churn) -> Vec<ServiceOp> {
                 ServiceOp::RemoveEdge { src, dst }
             }
             _ => {
-                let (src, dst) = churn.arc_at(k + i + 1);
+                let (src, dst) = churn.arc_at(k + i);
                 ServiceOp::AddEdge { src, dst }
             }
         })
@@ -369,4 +376,67 @@ fn sharded_cell(
         best.write_ops, best.read_qps, best.churn_qps
     );
     best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    const CHURN: Churn = Churn {
+        components: 8,
+        comp_size: 2500,
+    };
+
+    /// The arcs a batch's last-of-group ops insert.
+    fn kept_arcs(ops: &[ServiceOp]) -> Vec<(NodeId, NodeId)> {
+        ops.iter()
+            .skip(3)
+            .step_by(4)
+            .map(|op| match *op {
+                ServiceOp::AddEdge { src, dst } => (src, dst),
+                _ => panic!("the last op of a group must insert an arc, got {op:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn churn_keeps_every_arc_its_last_op_inserts() {
+        let ops = churn_ops(0, 512, CHURN);
+        let mut arcs = HashSet::new();
+        for op in &ops {
+            match *op {
+                ServiceOp::AddEdge { src, dst } => {
+                    arcs.insert((src, dst));
+                }
+                ServiceOp::RemoveEdge { src, dst } => {
+                    arcs.remove(&(src, dst));
+                }
+                _ => {}
+            }
+        }
+        for (src, dst) in kept_arcs(&ops) {
+            assert!(
+                arcs.contains(&(src, dst)),
+                "churn took back its insert {src:?} -> {dst:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn kept_churn_arcs_include_cross_component_ones() {
+        let kept: Vec<_> = (0..16u64)
+            .flat_map(|b| kept_arcs(&churn_ops(b * 512, 512, CHURN)))
+            .collect();
+        let cross = kept
+            .iter()
+            .filter(|(s, d)| s.index() / CHURN.comp_size != d.index() / CHURN.comp_size)
+            .count();
+        // About 1 in 128 of the 2048 kept arcs.
+        assert!(
+            (4..=64).contains(&cross),
+            "{cross} of {} kept arcs cross components",
+            kept.len()
+        );
+    }
 }

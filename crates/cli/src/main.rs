@@ -21,9 +21,10 @@
 //! for stdin) or a previously compressed `.itc` closure — the tool detects
 //! which by content.
 //!
-//! A global `--threads N` flag (any position) runs closure construction and
-//! the scan-style queries level-parallel on `N` worker threads (`0` = one
-//! per CPU); the result is identical to the serial build. A global
+//! A global `--threads N` flag (any position) splits the batch reads —
+//! `stats`' per-node decodes and batched reachability probes — across `N`
+//! worker threads (`0` = one per CPU); construction always runs the serial
+//! sweeps, and every answer is identical at any count. A global
 //! `--frozen` flag freezes a read-optimized query plane after loading, so
 //! every query answers from the immutable snapshot (see DESIGN.md, "Frozen
 //! query plane"). A global `--paged N` flag makes those freezes out-of-core:
@@ -72,7 +73,7 @@ const USAGE: &str = "usage:
                    [--merge] [--freeze] [--serve] [--delete-bias] [--shrink]
                    [--codec] [--kb] [--out FILE] [--replay FILE]
 
-global flags: --threads N   build/query on N worker threads (0 = one per CPU)
+global flags: --threads N   batch reads on N worker threads (0 = one per CPU)
               --frozen      freeze the query plane after loading; all queries
                             answer from the immutable snapshot
               --scoped-deletes <on|off>
@@ -148,9 +149,9 @@ the script, failing if the incrementally maintained closure diverges.";
 /// Global flags stripped from anywhere in the argument list.
 #[derive(Clone, Copy)]
 struct Globals {
-    /// Worker threads for builds and scan-style queries; `None` (flag
-    /// absent) means serial for fresh builds but leaves the thread count a
-    /// deserialized closure carries in its config footer untouched.
+    /// Worker threads for batch reads ([`ClosureConfig::threads`]); `None`
+    /// (flag absent) means one for fresh builds but leaves the thread count
+    /// a deserialized closure carries in its config footer untouched.
     threads: Option<usize>,
     /// Freeze a query plane right after loading.
     frozen: bool,
@@ -294,7 +295,7 @@ fn read_input(path: &str) -> Result<Vec<u8>, String> {
 }
 
 /// Loads either a serialized closure or an edge list (building the closure),
-/// with all construction and subsequent scans on `globals.threads` workers;
+/// with subsequent batch reads on `globals.threads` workers;
 /// `--frozen` snapshots a query plane before any query runs.
 fn load(path: &str, globals: Globals) -> Result<CompressedClosure, String> {
     let data = read_input(path)?;

@@ -4,9 +4,8 @@ use tc_graph::{topo, DiGraph};
 
 use crate::closure::CompressedClosure;
 use crate::labeling::Labeling;
-use crate::parallel;
-use crate::propagate::{propagate_all, propagate_all_levels};
-use crate::treecover::{optimal_cover_levels, CoverStrategy, TreeCover};
+use crate::propagate::propagate_all;
+use crate::treecover::{CoverStrategy, TreeCover};
 use crate::DEFAULT_GAP;
 
 /// Configuration for building a [`CompressedClosure`].
@@ -97,15 +96,14 @@ impl ClosureConfig {
         self
     }
 
-    /// Sets the worker-thread count for construction and relabeling sweeps.
+    /// Sets the worker-thread count for batch reads:
+    /// [`CompressedClosure::reaches_batch`] and [`CompressedClosure::stats`]
+    /// split their work across this many scoped workers.
     ///
-    /// `1` (the default) runs the classic serial algorithms; `0` means one
-    /// worker per available CPU; anything else is taken literally. With more
-    /// than one thread, the Alg1 cover computation and the interval
-    /// propagation sweep process each topological level's nodes in parallel,
-    /// producing an identical closure (same cover, same labeling,
-    /// bit-identical interval sets) — see DESIGN.md, "Parallel
-    /// construction".
+    /// `1` (the default) runs them inline; `0` means one worker per
+    /// available CPU; anything else is taken literally. Construction,
+    /// relabeling and deletion recomputes always run the serial §3.2 sweeps
+    /// — see DESIGN.md, "Batch fan-out".
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -153,20 +151,6 @@ impl ClosureConfig {
     /// Fails with a [`topo::CycleError`] if `g` is cyclic — wrap cyclic
     /// graphs with [`crate::cyclic::CyclicClosure`] instead.
     pub fn build(self, g: &DiGraph) -> Result<CompressedClosure, topo::CycleError> {
-        let threads = parallel::effective_threads(self.threads);
-        if threads > 1 {
-            let levels = topo::levels(g)?;
-            let cover = match self.strategy {
-                CoverStrategy::Optimal => optimal_cover_levels(g, &levels, threads),
-                other => {
-                    let order = topo::topo_sort(g)?;
-                    other.compute(g, &order)
-                }
-            };
-            let mut lab = Labeling::assign(&cover, self.gap, self.reserve);
-            propagate_all_levels(g, &levels, &mut lab, threads);
-            return Ok(self.finish(g, cover, lab));
-        }
         let order = topo::topo_sort(g)?;
         let cover = self.strategy.compute(g, &order);
         Ok(self.build_parts(g, cover, &order))
@@ -180,13 +164,6 @@ impl ClosureConfig {
         g: &DiGraph,
         cover: TreeCover,
     ) -> Result<CompressedClosure, topo::CycleError> {
-        let threads = parallel::effective_threads(self.threads);
-        if threads > 1 {
-            let levels = topo::levels(g)?;
-            let mut lab = Labeling::assign(&cover, self.gap, self.reserve);
-            propagate_all_levels(g, &levels, &mut lab, threads);
-            return Ok(self.finish(g, cover, lab));
-        }
         let order = topo::topo_sort(g)?;
         Ok(self.build_parts(g, cover, &order))
     }
@@ -199,10 +176,6 @@ impl ClosureConfig {
     ) -> CompressedClosure {
         let mut lab = Labeling::assign(&cover, self.gap, self.reserve);
         propagate_all(g, order, &mut lab);
-        self.finish(g, cover, lab)
-    }
-
-    fn finish(self, g: &DiGraph, cover: TreeCover, mut lab: Labeling) -> CompressedClosure {
         if self.merge_adjacent {
             for set in &mut lab.sets {
                 set.merge_adjacent();

@@ -9,7 +9,7 @@ use crate::builder::ClosureConfig;
 use crate::labeling::Labeling;
 use crate::paged::{Frozen, PagedPlane, QueryPlane};
 use crate::parallel;
-use crate::propagate::propagate_dispatch;
+use crate::propagate::propagate_all;
 use crate::stats::ClosureStats;
 use crate::treecover::TreeCover;
 
@@ -123,9 +123,8 @@ impl CompressedClosure {
         &self.config
     }
 
-    /// Changes the worker-thread count used by subsequent parallel
-    /// operations (batch queries, stats, relabeling, rebuilds) — see
-    /// [`ClosureConfig::threads`].
+    /// Changes the worker-thread count used by subsequent batch queries
+    /// and [`Self::stats`] — see [`ClosureConfig::threads`].
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
     }
@@ -502,7 +501,8 @@ impl CompressedClosure {
         // relabeled line holds only live nodes — at most the old occupancy —
         // so the old capacity is always admissible here.
         self.lab.line.set_capacity(cap);
-        propagate_dispatch(&self.graph, &mut self.lab, self.config.threads);
+        let order = topo::topo_sort(&self.graph).expect("closure graph must stay acyclic");
+        propagate_all(&self.graph, &order, &mut self.lab);
         self.apply_merge_policy();
     }
 

@@ -1,12 +1,13 @@
-//! Scoped-thread fan-out used by the level-parallel build sweeps and the
-//! batch query engine.
+//! Scoped-thread fan-out used by the batch reads
+//! ([`crate::CompressedClosure::reaches_batch`] and
+//! [`crate::CompressedClosure::stats`]).
 //!
 //! The workspace has a zero-dependency policy for the library crates, so
 //! parallelism is plain `std::thread::scope`: split a slice into one
 //! contiguous chunk per worker, run a chunk-mapping closure on each, and
 //! stitch the outputs back together in input order. Workers only ever read
-//! shared state and return owned results; all writes happen on the calling
-//! thread after the join, which keeps `tc-core` free of `unsafe` and makes
+//! shared state and either return owned results or fill disjoint chunks of
+//! a pre-sized output, which keeps `tc-core` free of `unsafe` and makes
 //! parallel results bit-identical to serial ones by construction.
 
 /// Resolves a user-facing thread-count knob: `0` means "one worker per

@@ -6,12 +6,10 @@
 //! an interval ... if one interval is subsumed by another, discard the
 //! subsumed interval."
 
-use tc_graph::topo::Levels;
 use tc_graph::{DiGraph, NodeId};
 use tc_interval::Interval;
 
 use crate::labeling::Labeling;
-use crate::parallel;
 
 /// Runs the full propagation sweep over `g`, assuming `lab.sets` currently
 /// holds exactly the tree intervals (as after [`Labeling::assign`] or
@@ -25,68 +23,7 @@ use crate::parallel;
 /// `q` are visible to everything that reaches `q`. With `reserve == 0` the
 /// two forms coincide.
 pub(crate) fn propagate_all(g: &DiGraph, topo_order: &[NodeId], lab: &mut Labeling) {
-    let mut scratch: Vec<Interval> = Vec::new();
-    for &p in topo_order.iter().rev() {
-        for &q in g.successors(p) {
-            inherit_into_scratch(lab, q, &mut scratch);
-            for &iv in &scratch {
-                lab.sets[p.index()].insert(iv);
-            }
-        }
-    }
-}
-
-/// Level-parallel variant of [`propagate_all`]: sweeps the topological
-/// levels of `g` from the sinks upward, fanning each level's nodes across
-/// `threads` scoped workers.
-///
-/// Nodes on the same level are mutually unreachable (every arc strictly
-/// descends levels), so a node's sweep only *reads* sets finalized in
-/// earlier levels and *writes* its own — which the workers do by returning
-/// an owned replacement set that the calling thread installs after the
-/// join. Each node runs the exact insert sequence of the serial sweep, so
-/// the resulting `Labeling` is bit-identical to `propagate_all`'s.
-pub(crate) fn propagate_all_levels(g: &DiGraph, levels: &Levels, lab: &mut Labeling, threads: usize) {
-    let mut sweep = levels.iter_up();
-    // Level 0 holds the sinks: no successors, nothing to inherit.
-    sweep.next();
-    for level in sweep {
-        let read_lab: &Labeling = lab;
-        let new_sets = parallel::map_chunks(level, threads, |chunk| {
-            let mut scratch: Vec<Interval> = Vec::new();
-            chunk
-                .iter()
-                .map(|&p| {
-                    let mut set = read_lab.sets[p.index()].clone();
-                    for &q in g.successors(p) {
-                        inherit_into_scratch(read_lab, q, &mut scratch);
-                        for &iv in &scratch {
-                            set.insert(iv);
-                        }
-                    }
-                    set
-                })
-                .collect()
-        });
-        for (&p, set) in level.iter().zip(new_sets) {
-            lab.sets[p.index()] = set;
-        }
-    }
-}
-
-/// Runs the full propagation sweep, choosing between the serial and the
-/// level-parallel implementation from the (unresolved) `threads` knob of a
-/// [`crate::ClosureConfig`]. Used by relabeling and delete-repair paths,
-/// which recompute everything from a graph known to be acyclic.
-pub(crate) fn propagate_dispatch(g: &DiGraph, lab: &mut Labeling, threads_knob: usize) {
-    let threads = parallel::effective_threads(threads_knob);
-    if threads > 1 {
-        let levels = tc_graph::topo::levels(g).expect("closure graph must stay acyclic");
-        propagate_all_levels(g, &levels, lab, threads);
-    } else {
-        let order = tc_graph::topo::topo_sort(g).expect("closure graph must stay acyclic");
-        propagate_all(g, &order, lab);
-    }
+    sweep(g, topo_order.iter().rev().copied(), lab);
 }
 
 /// Scoped sweep (§4.2 locality): re-propagates only the nodes in `order`,
@@ -100,91 +37,19 @@ pub(crate) fn propagate_dispatch(g: &DiGraph, lab: &mut Labeling, threads_knob: 
 /// suffices; and an unaffected node reaches no affected node, so its set is
 /// already at its post-deletion fixed point and can be inherited verbatim.
 pub(crate) fn propagate_scoped(g: &DiGraph, order: &[NodeId], lab: &mut Labeling) {
+    sweep(g, order.iter().copied(), lab);
+}
+
+/// Makes each node of `nodes`, in turn, inherit from all its successors.
+fn sweep(g: &DiGraph, nodes: impl Iterator<Item = NodeId>, lab: &mut Labeling) {
     let mut scratch: Vec<Interval> = Vec::new();
-    for &p in order {
+    for p in nodes {
         for &q in g.successors(p) {
             inherit_into_scratch(lab, q, &mut scratch);
             for &iv in &scratch {
                 lab.sets[p.index()].insert(iv);
             }
         }
-    }
-}
-
-/// Level-parallel variant of [`propagate_scoped`], mirroring
-/// [`propagate_all_levels`] over the *induced* levels of the affected
-/// region: `level(p) = 1 + max(level(q))` over `p`'s affected successors
-/// (0 with none). Nodes on the same induced level cannot reach one another
-/// (an affected path between them would force a level difference), so each
-/// worker only reads sets finalized on earlier levels or frozen unaffected
-/// sets. Per node the insert sequence is identical to the serial sweep's,
-/// so the result is bit-identical.
-pub(crate) fn propagate_scoped_levels(
-    g: &DiGraph,
-    order: &[NodeId],
-    lab: &mut Labeling,
-    threads: usize,
-) {
-    let n = g.node_count();
-    const UNAFFECTED: u32 = u32::MAX;
-    let mut level = vec![UNAFFECTED; n];
-    let mut max_level = 0u32;
-    // `order` is reverse-topological over the region, so every affected
-    // successor's level is final when its predecessor is visited.
-    for &p in order {
-        let mut lv = 0u32;
-        for &q in g.successors(p) {
-            if level[q.index()] != UNAFFECTED {
-                lv = lv.max(level[q.index()] + 1);
-            }
-        }
-        level[p.index()] = lv;
-        max_level = max_level.max(lv);
-    }
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); max_level as usize + 1];
-    for &p in order {
-        buckets[level[p.index()] as usize].push(p);
-    }
-    // Unlike the global sweep, induced level 0 is not skipped: its nodes
-    // have no affected successors but may still inherit from frozen ones.
-    for bucket in &buckets {
-        let read_lab: &Labeling = lab;
-        let new_sets = parallel::map_chunks(bucket, threads, |chunk| {
-            let mut scratch: Vec<Interval> = Vec::new();
-            chunk
-                .iter()
-                .map(|&p| {
-                    let mut set = read_lab.sets[p.index()].clone();
-                    for &q in g.successors(p) {
-                        inherit_into_scratch(read_lab, q, &mut scratch);
-                        for &iv in &scratch {
-                            set.insert(iv);
-                        }
-                    }
-                    set
-                })
-                .collect()
-        });
-        for (&p, set) in bucket.iter().zip(new_sets) {
-            lab.sets[p.index()] = set;
-        }
-    }
-}
-
-/// Runs the scoped sweep, choosing the serial or level-parallel variant
-/// from the (unresolved) `threads` knob — the deletion-path counterpart of
-/// [`propagate_dispatch`].
-pub(crate) fn propagate_scoped_dispatch(
-    g: &DiGraph,
-    order: &[NodeId],
-    lab: &mut Labeling,
-    threads_knob: usize,
-) {
-    let threads = parallel::effective_threads(threads_knob);
-    if threads > 1 {
-        propagate_scoped_levels(g, order, lab, threads);
-    } else {
-        propagate_scoped(g, order, lab);
     }
 }
 

@@ -246,8 +246,9 @@ impl CoverStrategy {
 ///
 /// Predecessor sets are maintained as bitsets; `size(pred(i))` is cached per
 /// node so each comparison is O(1). Peak memory is n²/8 bytes for the
-/// predecessor sets (12.5 MB at 10⁵ nodes) — transient, freed once the
-/// cover is chosen; the closure itself never holds them.
+/// predecessor sets (12.5 MB at 10⁴ nodes, 50 MB at the perf ledger's 20k,
+/// 1.25 GB at 10⁵) — transient, freed once the cover is chosen; the
+/// closure itself never holds them.
 pub fn optimal_cover(g: &DiGraph, topo_order: &[NodeId]) -> TreeCover {
     let n = g.node_count();
     let mut pred: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
@@ -278,54 +279,6 @@ pub fn optimal_cover(g: &DiGraph, topo_order: &[NodeId]) -> TreeCover {
         }
         pred_size[j.index()] = pj.len();
         pred[j.index()] = pj;
-    }
-
-    finish_cover(g, parent)
-}
-
-/// Level-parallel variant of [`optimal_cover`]: sweeps the topological
-/// levels of `g` from the sources downward, fanning each level's nodes
-/// across `threads` scoped workers.
-///
-/// Every predecessor of a node sits on a strictly higher level, so by the
-/// time a level is processed all the predecessor sets (and their cached
-/// sizes) it reads are final. Workers return each node's `(parent, pred)`
-/// pair; the calling thread installs them after the join. The argmax and
-/// its tie-break are the same as the serial sweep's and the union runs over
-/// the same operands, so the resulting cover is identical to
-/// `optimal_cover`'s for any valid topological order.
-pub fn optimal_cover_levels(g: &DiGraph, levels: &topo::Levels, threads: usize) -> TreeCover {
-    let n = g.node_count();
-    let mut pred: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    let mut pred_size = vec![0usize; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-
-    for level in levels.iter_down() {
-        let (pred_r, size_r) = (&pred, &pred_size);
-        let results = crate::parallel::map_chunks(level, threads, |chunk| {
-            chunk
-                .iter()
-                .map(|&j| {
-                    let preds = g.predecessors(j);
-                    let best = preds.iter().copied().min_by(|a, b| {
-                        size_r[b.index()]
-                            .cmp(&size_r[a.index()])
-                            .then(a.0.cmp(&b.0))
-                    });
-                    let mut pj = BitSet::new(n);
-                    for &i in preds {
-                        pj.insert(i.index());
-                        pj.union_with(&pred_r[i.index()]);
-                    }
-                    (best, pj)
-                })
-                .collect()
-        });
-        for (&j, (best, pj)) in level.iter().zip(results) {
-            parent[j.index()] = best;
-            pred_size[j.index()] = pj.len();
-            pred[j.index()] = pj;
-        }
     }
 
     finish_cover(g, parent)

@@ -148,7 +148,9 @@ impl crate::CompressedClosure {
     /// consumed reserve tails as they are. Used by arc deletion (§4.2).
     pub(crate) fn recompute_non_tree(&mut self) {
         self.lab.reset_sets();
-        crate::propagate::propagate_dispatch(&self.graph, &mut self.lab, self.config.threads);
+        let order =
+            tc_graph::topo::topo_sort(&self.graph).expect("closure graph must stay acyclic");
+        crate::propagate::propagate_all(&self.graph, &order, &mut self.lab);
         self.apply_merge_policy();
     }
 
@@ -228,12 +230,7 @@ impl crate::CompressedClosure {
                 tc_interval::Interval::new(self.lab.low[v.index()], self.lab.post[v.index()]),
             );
         }
-        crate::propagate::propagate_scoped_dispatch(
-            &self.graph,
-            &order,
-            &mut self.lab,
-            self.config.threads,
-        );
+        crate::propagate::propagate_scoped(&self.graph, &order, &mut self.lab);
         if self.config.merge_adjacent {
             for &v in &order {
                 self.lab.sets[v.index()].merge_adjacent();

@@ -1,148 +1,9 @@
-//! Serial/parallel equivalence: a closure built with `threads > 1` must be
-//! *identical* to the serial build — same tree cover, same postorder
-//! numbers, bit-identical interval sets — not merely query-equivalent.
-//!
-//! The level-parallel sweeps promise this because same-level nodes share no
-//! arcs and every per-node computation runs the exact serial insert
-//! sequence; these tests pin the promise across graph families, strategies,
-//! and the gap/reserve/merge configuration space.
+//! Batch fan-out equivalence: with `threads > 1`, `reaches_batch` and
+//! `stats` split their work across scoped workers and must answer exactly
+//! as the pointwise queries and the single-threaded reads do.
 
-use tc_core::{ClosureConfig, CompressedClosure, CoverStrategy};
-use tc_graph::{generators, DiGraph, NodeId};
-
-/// Asserts the two closures are structurally identical, node by node.
-fn assert_identical(serial: &CompressedClosure, parallel: &CompressedClosure, what: &str) {
-    let n = serial.node_count();
-    assert_eq!(parallel.node_count(), n, "{what}: node count");
-    for ix in 0..n {
-        let v = NodeId::from_index(ix);
-        assert_eq!(
-            serial.cover().parent(v),
-            parallel.cover().parent(v),
-            "{what}: tree parent of {v:?}"
-        );
-        assert_eq!(
-            serial.post_number(v),
-            parallel.post_number(v),
-            "{what}: postorder number of {v:?}"
-        );
-        assert_eq!(
-            serial.intervals(v),
-            parallel.intervals(v),
-            "{what}: interval set of {v:?}"
-        );
-    }
-    assert_eq!(
-        serial.total_intervals(),
-        parallel.total_intervals(),
-        "{what}: total intervals"
-    );
-}
-
-fn build_pair(g: &DiGraph, config: ClosureConfig) -> (CompressedClosure, CompressedClosure) {
-    let serial = config.threads(1).build(g).unwrap();
-    let parallel = config.threads(4).build(g).unwrap();
-    (serial, parallel)
-}
-
-#[test]
-fn random_dags_build_identically() {
-    for seed in 0..6 {
-        for degree in [1.0, 2.5, 4.0] {
-            let g = generators::random_dag(generators::RandomDagConfig {
-                nodes: 120,
-                avg_out_degree: degree,
-                seed,
-            });
-            let (serial, parallel) = build_pair(&g, ClosureConfig::new());
-            assert_identical(&serial, &parallel, &format!("seed {seed} degree {degree}"));
-            parallel.verify().unwrap();
-        }
-    }
-}
-
-#[test]
-fn trees_and_bipartite_worst_case_build_identically() {
-    let shapes: Vec<(&str, DiGraph)> = vec![
-        ("balanced tree", generators::balanced_tree(3, 4)),
-        ("bipartite worst", generators::bipartite_worst(6, 6)),
-        ("bipartite hub", generators::bipartite_with_hub(6, 6)),
-        ("chain", DiGraph::from_edges((0..200u32).zip(1..201).collect::<Vec<_>>())),
-        ("empty", DiGraph::new()),
-    ];
-    for (name, g) in &shapes {
-        let (serial, parallel) = build_pair(g, ClosureConfig::new().gap(1));
-        assert_identical(&serial, &parallel, name);
-    }
-}
-
-#[test]
-fn gap_reserve_and_merge_configurations_build_identically() {
-    let g = generators::random_dag(generators::RandomDagConfig {
-        nodes: 100,
-        avg_out_degree: 3.0,
-        seed: 7,
-    });
-    let configs = [
-        ClosureConfig::new().gap(1),
-        ClosureConfig::new().gap(16).reserve(3),
-        ClosureConfig::new().gap(1 << 20).reserve(100),
-        ClosureConfig::new().merge_adjacent(true).gap(1),
-        ClosureConfig::new().merge_adjacent(true).gap(64).reserve(7),
-    ];
-    for (ix, config) in configs.into_iter().enumerate() {
-        let (serial, parallel) = build_pair(&g, config);
-        assert_identical(&serial, &parallel, &format!("config #{ix}"));
-        parallel.verify().unwrap();
-    }
-}
-
-#[test]
-fn all_strategies_build_identically() {
-    let g = generators::random_dag(generators::RandomDagConfig {
-        nodes: 80,
-        avg_out_degree: 2.0,
-        seed: 3,
-    });
-    for strat in [
-        CoverStrategy::Optimal,
-        CoverStrategy::FirstParent,
-        CoverStrategy::Random { seed: 42 },
-        CoverStrategy::Deepest,
-    ] {
-        let (serial, parallel) = build_pair(&g, ClosureConfig::new().strategy(strat));
-        assert_identical(&serial, &parallel, &format!("{strat:?}"));
-    }
-}
-
-#[test]
-fn threads_zero_means_auto_and_stays_identical() {
-    let g = generators::random_dag(generators::RandomDagConfig {
-        nodes: 90,
-        avg_out_degree: 2.0,
-        seed: 12,
-    });
-    let serial = ClosureConfig::new().threads(1).build(&g).unwrap();
-    let auto = ClosureConfig::new().threads(0).build(&g).unwrap();
-    assert_identical(&serial, &auto, "threads(0)");
-}
-
-#[test]
-fn relabel_and_rebuild_stay_identical_under_threads() {
-    let g = generators::random_dag(generators::RandomDagConfig {
-        nodes: 70,
-        avg_out_degree: 2.5,
-        seed: 9,
-    });
-    let mut serial = ClosureConfig::new().threads(1).build(&g).unwrap();
-    let mut parallel = ClosureConfig::new().threads(4).build(&g).unwrap();
-    serial.relabel();
-    parallel.relabel();
-    assert_identical(&serial, &parallel, "after relabel");
-    serial.rebuild();
-    parallel.rebuild();
-    assert_identical(&serial, &parallel, "after rebuild");
-}
+use tc_core::ClosureConfig;
+use tc_graph::{generators, NodeId};
 
 #[test]
 fn reaches_batch_matches_pointwise_queries() {

@@ -279,17 +279,14 @@ impl CutoffLabels {
 /// The level of a node is the length of the longest directed path from it to
 /// a sink: sinks sit at level 0, and for every arc `(p, q)` the source lies
 /// at a strictly higher level than the target (`level(p) >= level(q) + 1`).
-/// Consequently no two nodes on the same level are connected by an arc —
-/// they are mutually independent, which is what makes levels the unit of
-/// parallelism for the closure-construction sweeps: a level's nodes can be
-/// processed concurrently once all lower (for reverse-topological
-/// propagation) or higher (for Alg1's forward sweep) levels are complete.
+/// So a node reaches only nodes on strictly lower levels, which the sharded
+/// front end's O(1) cycle pre-check relies on, and sorting nodes by
+/// descending level gives a topological order, which [`partition`]'s level
+/// cut relies on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levels {
     /// `level[v]` = topological level of node `v`.
     level: Vec<usize>,
-    /// `buckets[l]` = nodes at level `l`, ascending by id.
-    buckets: Vec<Vec<NodeId>>,
 }
 
 impl Levels {
@@ -297,35 +294,6 @@ impl Levels {
     #[inline]
     pub fn level_of(&self, node: NodeId) -> usize {
         self.level[node.index()]
-    }
-
-    /// Number of distinct levels (0 for the empty graph). The longest path
-    /// in the graph has `height() - 1` arcs.
-    pub fn height(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Number of nodes across all levels.
-    pub fn node_count(&self) -> usize {
-        self.level.len()
-    }
-
-    /// The nodes at level `l`, in ascending id order.
-    #[inline]
-    pub fn nodes_at(&self, l: usize) -> &[NodeId] {
-        &self.buckets[l]
-    }
-
-    /// Iterates levels from the sinks up to the sources (level 0 first) —
-    /// the order of the reverse-topological propagation sweep.
-    pub fn iter_up(&self) -> impl Iterator<Item = &[NodeId]> {
-        self.buckets.iter().map(Vec::as_slice)
-    }
-
-    /// Iterates levels from the sources down to the sinks (highest level
-    /// first) — the order of Alg1's forward sweep.
-    pub fn iter_down(&self) -> impl Iterator<Item = &[NodeId]> {
-        self.buckets.iter().rev().map(Vec::as_slice)
     }
 }
 
@@ -344,13 +312,7 @@ pub fn levels(g: &DiGraph) -> Result<Levels, CycleError> {
             .unwrap_or(0);
         level[v.index()] = best;
     }
-    let height = level.iter().copied().max().map_or(0, |m| m + 1);
-    let mut buckets = vec![Vec::new(); height];
-    // Bucket by ascending node id so the per-level order is deterministic.
-    for (ix, &l) in level.iter().enumerate() {
-        buckets[l].push(NodeId::from_index(ix));
-    }
-    Ok(Levels { level, buckets })
+    Ok(Levels { level })
 }
 
 /// A disjoint assignment of every node to one of a fixed number of shards.
@@ -624,48 +586,25 @@ mod tests {
     fn levels_of_known_shapes() {
         // Diamond: 3 is the only sink (level 0), 1 and 2 sit at 1, 0 at 2.
         let lv = levels(&diamond()).unwrap();
-        assert_eq!(lv.height(), 3);
         assert_eq!(lv.level_of(NodeId(3)), 0);
         assert_eq!(lv.level_of(NodeId(1)), 1);
         assert_eq!(lv.level_of(NodeId(2)), 1);
         assert_eq!(lv.level_of(NodeId(0)), 2);
-        assert_eq!(lv.nodes_at(1), &[NodeId(1), NodeId(2)]);
 
         // A chain has one node per level; an edgeless graph a single level.
         let chain = DiGraph::from_edges([(0, 1), (1, 2), (2, 3)]);
         let lv = levels(&chain).unwrap();
-        assert_eq!(lv.height(), 4);
-        assert!(lv.iter_up().all(|bucket| bucket.len() == 1));
+        for v in 0..4u32 {
+            assert_eq!(lv.level_of(NodeId(v)), 3 - v as usize);
+        }
 
         let mut loose = DiGraph::new();
         loose.add_node();
         loose.add_node();
         let lv = levels(&loose).unwrap();
-        assert_eq!(lv.height(), 1);
-        assert_eq!(lv.nodes_at(0).len(), 2);
+        assert_eq!((lv.level_of(NodeId(0)), lv.level_of(NodeId(1))), (0, 0));
 
-        assert_eq!(levels(&DiGraph::new()).unwrap().height(), 0);
-    }
-
-    #[test]
-    fn levels_partition_the_node_set() {
-        let g = crate::generators::random_dag(crate::generators::RandomDagConfig {
-            nodes: 200,
-            avg_out_degree: 3.0,
-            seed: 17,
-        });
-        let lv = levels(&g).unwrap();
-        assert_eq!(lv.node_count(), g.node_count());
-        let mut seen = vec![0usize; g.node_count()];
-        for (l, bucket) in lv.iter_up().enumerate() {
-            for &v in bucket {
-                seen[v.index()] += 1;
-                assert_eq!(lv.level_of(v), l, "bucket/level_of disagree at {v:?}");
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "levels must partition the nodes");
-        let total: usize = lv.iter_up().map(<[NodeId]>::len).sum();
-        assert_eq!(total, g.node_count());
+        assert!(levels(&DiGraph::new()).is_ok());
     }
 
     #[test]
@@ -702,8 +641,8 @@ mod tests {
                         "n={n} mask={mask:#b} node {v:?}"
                     );
                 }
-                let by_level: Vec<NodeId> =
-                    lv.iter_down().flat_map(|b| b.iter().copied()).collect();
+                let mut by_level: Vec<NodeId> = g.nodes().collect();
+                by_level.sort_by_key(|&v| std::cmp::Reverse(lv.level_of(v)));
                 assert!(
                     is_topo_order(&g, &by_level),
                     "n={n} mask={mask:#b}: descending levels are not a topo order"

@@ -268,29 +268,6 @@ proptest! {
         }
     }
 
-    /// Level-parallel builds are *identical* to serial builds — same tree
-    /// cover, same postorder numbers, bit-identical interval sets — on
-    /// arbitrary DAGs across the gap/reserve/merge configuration space (see
-    /// DESIGN.md, "Parallel construction").
-    #[test]
-    fn parallel_build_identical_to_serial(
-        g in arb_dag(12),
-        gap in 2u64..64,
-        reserve in 0u64..4,
-        merge in any::<bool>(),
-        threads in 2usize..6,
-    ) {
-        prop_assume!(gap > 2 * reserve);
-        let config = ClosureConfig::new().gap(gap).reserve(reserve).merge_adjacent(merge);
-        let serial = config.threads(1).build(&g).unwrap();
-        let par = config.threads(threads).build(&g).unwrap();
-        for v in g.nodes() {
-            prop_assert_eq!(serial.cover().parent(v), par.cover().parent(v), "parent of {:?}", v);
-            prop_assert_eq!(serial.post_number(v), par.post_number(v), "post of {:?}", v);
-            prop_assert_eq!(serial.intervals(v), par.intervals(v), "intervals of {:?}", v);
-        }
-    }
-
     /// Batch queries agree with pointwise queries over the full node square,
     /// at any thread count.
     #[test]
