@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use tc_graph::{dot, topo, DiGraph, NodeId};
-use tc_interval::{merged_row_into, IntervalSet};
+use tc_interval::{merged_row_into, IntervalSet, RankIndex};
 
 use crate::builder::ClosureConfig;
 use crate::labeling::Labeling;
@@ -185,18 +185,15 @@ impl CompressedClosure {
     /// threshold is compared against. Computed without freezing, so `stats`
     /// tooling can report the histogram on a mutable closure.
     pub fn merged_interval_counts(&self) -> Vec<usize> {
-        let line_nums: Vec<u64> = self
-            .lab
-            .line
-            .live_in_range(0, u64::MAX)
-            .map(|(num, _)| num)
-            .collect();
+        let line = RankIndex::new(
+            self.lab.line.live_in_range(0, u64::MAX).map(|(num, _)| num).collect(),
+        );
         let mut row = Vec::new();
         self.lab
             .sets
             .iter()
             .map(|set| {
-                merged_row_into(&line_nums, set, &mut row);
+                merged_row_into(&line, set, &mut row);
                 row.len()
             })
             .collect()

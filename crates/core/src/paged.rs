@@ -65,7 +65,7 @@ use tc_interval::paged::{
     count_le, decode_head, encode_boundaries, encode_head, for_each_boundary_pair,
     padded_boundary_keys, probe_head, HeadProbe, KeyWidth,
 };
-use tc_interval::{merged_row_into, stab, stab_tree, BitRows, BitRowsBuilder};
+use tc_interval::{merged_row_into, stab, stab_tree, BitRows, BitRowsBuilder, RankIndex};
 use tc_pager::{BufferPool, PageId, Pager, PoolStats, DEFAULT_PAGE_SIZE};
 
 use crate::builder::ClosureConfig;
@@ -420,13 +420,14 @@ fn stage(lab: &Labeling, wide: bool) -> io::Result<Staged> {
         rank[node as usize] = r as u32;
     }
     let kw = if live <= u16::MAX as usize && !wide { KeyWidth::Narrow } else { KeyWidth::Wide };
+    let line = RankIndex::new(line_nums);
     let source_intervals: usize = lab.sets.iter().map(|s| s.count()).sum();
     let mut triples = Vec::with_capacity(source_intervals);
     let mut row_ends = Vec::with_capacity(n);
     let mut row = Vec::new();
     let mut spill_keys = 0u64;
     for (owner, set) in lab.sets.iter().enumerate() {
-        merged_row_into(&line_nums, set, &mut row);
+        merged_row_into(&line, set, &mut row);
         triples.extend(row.iter().map(|&(lo, hi)| (lo, hi, owner as u32)));
         spill_keys += padded_boundary_keys(row.len(), kw) as u64;
         row_ends.push(triples.len());
@@ -2134,6 +2135,34 @@ mod tests {
             assert_plane_matches(&c, &PagedPlane::open_from_bytes(&bytes, 2).unwrap());
             assert_plane_matches(&c, &QueryPlane::freeze(&c.graph, &c.lab, usize::MAX));
         }
+    }
+
+    /// Construction output pinned byte for byte: the FNV-1a of the `ITC1`
+    /// stream and the `PLN1` payload digest, for two seeded graphs built
+    /// with a gap and a refinement reserve. The cover, the sweep and the
+    /// rank compression are free to get faster; their output is not free
+    /// to change.
+    #[test]
+    fn construction_output_is_pinned() {
+        let random = generators::random_dag(generators::RandomDagConfig {
+            nodes: 2000,
+            avg_out_degree: 2.0,
+            seed: 1,
+        });
+        let layered = generators::dense_layered(12, 40, 4, 5);
+        let got: Vec<(u64, u64)> = [random, layered]
+            .iter()
+            .map(|g| {
+                let c = ClosureConfig::new().gap(64).reserve(16).build(g).unwrap();
+                let (meta, _, _) = parse_image(&c.to_paged_bytes()).unwrap();
+                (crate::codec::fnv1a(&c.to_bytes()), meta.payload_fnv.unwrap())
+            })
+            .collect();
+        let want = vec![
+            (0xaa6b_56c9_e010_7799, 0x0345_2eb7_6553_6096),
+            (0xeca9_d80f_a681_b563, 0xa0fc_2714_e75d_2527),
+        ];
+        assert_eq!(got, want, "construction output changed");
     }
 
     /// An image written before every freeze carried the `HYB1` overlay: it

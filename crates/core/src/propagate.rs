@@ -40,21 +40,20 @@ pub(crate) fn propagate_scoped(g: &DiGraph, order: &[NodeId], lab: &mut Labeling
     sweep(g, order.iter().copied(), lab);
 }
 
-/// Makes each node of `nodes`, in turn, inherit from all its successors.
+/// Makes each node of `nodes`, in turn, inherit from all its successors:
+/// one linear merge-union per arc ([`tc_interval::IntervalSet::union_sorted`]).
 fn sweep(g: &DiGraph, nodes: impl Iterator<Item = NodeId>, lab: &mut Labeling) {
-    let mut scratch: Vec<Interval> = Vec::new();
+    let (mut scratch, mut tail) = (Vec::new(), Vec::new());
     for p in nodes {
         for &q in g.successors(p) {
             inherit_into_scratch(lab, q, &mut scratch);
-            for &iv in &scratch {
-                lab.sets[p.index()].insert(iv);
-            }
+            lab.sets[p.index()].union_sorted(&scratch, &mut tail);
         }
     }
 }
 
-/// Collects the intervals `q` passes to an inheritor: its advertised tree
-/// interval plus every non-tree interval it holds.
+/// Collects the intervals `q` passes to an inheritor, sorted by `lo`: its
+/// advertised tree interval plus every non-tree interval it holds.
 pub(crate) fn inherit_into_scratch(lab: &Labeling, q: NodeId, scratch: &mut Vec<Interval>) {
     scratch.clear();
     let own = lab.tree_interval(q);
@@ -69,7 +68,8 @@ pub(crate) fn inherit_into_scratch(lab: &Labeling, q: NodeId, scratch: &mut Vec<
     // If `q`'s set was merged, its own tree interval may have been absorbed
     // into a wider interval; the advertised tail must still be inherited.
     if lab.reserve > 0 && !scratch.contains(&advertised) {
-        scratch.push(advertised);
+        let at = scratch.partition_point(|e| e.lo() < advertised.lo());
+        scratch.insert(at, advertised);
     }
 }
 
@@ -116,6 +116,34 @@ mod tests {
                 assert_eq!(got, expect, "reach({u:?},{v:?})");
             }
         }
+    }
+
+    /// Merging can absorb a node's own tree interval into a wider one; the
+    /// advertised interval then re-added for inheritors must still land in
+    /// `lo` order, which the merge-union relies on. (Under an Alg1 cover no
+    /// node reaches the subtree numbered just below its own, so a
+    /// first-parent cover is used to make absorption happen.)
+    #[test]
+    fn inherited_lists_stay_sorted_after_merging() {
+        let g = tc_graph::generators::random_dag(tc_graph::generators::RandomDagConfig {
+            nodes: 300,
+            avg_out_degree: 3.0,
+            seed: 4,
+        });
+        let cover = cover_of(&g, CoverStrategy::FirstParent).unwrap();
+        let mut lab = Labeling::assign(&cover, 16, 3);
+        propagate_all(&g, &topo::topo_sort(&g).unwrap(), &mut lab);
+        for set in &mut lab.sets {
+            set.merge_adjacent();
+        }
+        let (mut scratch, mut absorbed) = (Vec::new(), 0);
+        for q in g.nodes() {
+            inherit_into_scratch(&lab, q, &mut scratch);
+            assert!(scratch.windows(2).all(|w| w[0].lo() <= w[1].lo()), "{q:?}: {scratch:?}");
+            let own_kept = lab.sets[q.index()].as_slice().contains(&lab.tree_interval(q));
+            absorbed += usize::from(!own_kept);
+        }
+        assert!(absorbed > 0, "no tree interval was absorbed; the case is not exercised");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tc_graph::{topo, BitSet, DiGraph, NodeId};
+use tc_graph::{topo, DiGraph, NodeId};
 
 /// A spanning forest over a DAG's nodes, using only DAG arcs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,14 +244,22 @@ impl CoverStrategy {
 ///   pred(j) := union over immediate predecessors i_k of {i_k} ∪ pred(i_k)
 /// ```
 ///
-/// Predecessor sets are maintained as bitsets; `size(pred(i))` is cached per
-/// node so each comparison is O(1). Peak memory is n²/8 bytes for the
-/// predecessor sets (12.5 MB at 10⁴ nodes, 50 MB at the perf ledger's 20k,
-/// 1.25 GB at 10⁵) — transient, freed once the cover is chosen; the
-/// closure itself never holds them.
+/// Predecessor sets are bitsets indexed by *topological position*: every
+/// predecessor of `j` sits earlier in `topo_order`, so `pred(j)` needs only
+/// `pos(j)` bits and each union ORs only `pred(i)`'s words. `size(pred(i))`
+/// is cached per node so each comparison is O(1). A set is dropped into a
+/// free list once its node's last successor has been processed (an
+/// out-degree countdown), and sinks never build one, so the peak is the live
+/// frontier of sets still awaiting a successor rather than n²/8 bytes.
 pub fn optimal_cover(g: &DiGraph, topo_order: &[NodeId]) -> TreeCover {
     let n = g.node_count();
-    let mut pred: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+    let mut pos = vec![0usize; n];
+    for (p, &v) in topo_order.iter().enumerate() {
+        pos[v.index()] = p;
+    }
+    let mut pending: Vec<usize> = g.nodes().map(|v| g.out_degree(v)).collect();
+    let mut pred: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let mut free: Vec<Vec<u64>> = Vec::new();
     let mut pred_size = vec![0usize; n];
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
 
@@ -270,15 +278,28 @@ pub fn optimal_cover(g: &DiGraph, topo_order: &[NodeId]) -> TreeCover {
                 .expect("non-empty");
             parent[j.index()] = Some(best);
         }
-        // pred(j) = union over immediate predecessors of pred(i) ∪ {i}.
-        // (Split the borrow: move j's set out, union, move back.)
-        let mut pj = std::mem::replace(&mut pred[j.index()], BitSet::new(0));
-        for &i in preds {
-            pj.insert(i.index());
-            pj.union_with(&pred[i.index()]);
+        // pred(j) = union over immediate predecessors of pred(i) ∪ {i} —
+        // only read by j's successors, so a sink skips it.
+        if pending[j.index()] > 0 {
+            let mut pj = free.pop().unwrap_or_default();
+            pj.clear();
+            pj.resize(pos[j.index()].div_ceil(64), 0);
+            for &i in preds {
+                let pi = pos[i.index()];
+                pj[pi / 64] |= 1 << (pi % 64);
+                for (w, &x) in pj.iter_mut().zip(&pred[i.index()]) {
+                    *w |= x;
+                }
+            }
+            pred_size[j.index()] = pj.iter().map(|w| w.count_ones() as usize).sum();
+            pred[j.index()] = pj;
         }
-        pred_size[j.index()] = pj.len();
-        pred[j.index()] = pj;
+        for &i in preds {
+            pending[i.index()] -= 1;
+            if pending[i.index()] == 0 {
+                free.push(std::mem::take(&mut pred[i.index()]));
+            }
+        }
     }
 
     finish_cover(g, parent)
@@ -390,6 +411,7 @@ pub fn cover_of(g: &DiGraph, strategy: CoverStrategy) -> Result<TreeCover, topo:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_graph::{generators, traverse};
 
     /// The paper's running example shape: a diamond with a tail.
     fn diamond() -> DiGraph {
@@ -415,6 +437,65 @@ mod tests {
         let g = DiGraph::from_edges([(0, 1), (1, 2), (2, 4), (3, 4)]);
         let cover = cover_of(&g, CoverStrategy::Optimal).unwrap();
         assert_eq!(cover.parent(NodeId(4)), Some(NodeId(2)));
+    }
+
+    /// Alg1 from first principles: each node's predecessor count by a
+    /// reverse traversal, then the immediate predecessor with the largest
+    /// count, ties to the smaller id.
+    fn alg1_oracle(g: &DiGraph) -> Vec<Option<NodeId>> {
+        let rev = g.reversed();
+        let size: Vec<usize> =
+            g.nodes().map(|v| traverse::reachable_set(&rev, v).len() - 1).collect();
+        g.nodes()
+            .map(|j| {
+                g.predecessors(j)
+                    .iter()
+                    .copied()
+                    .min_by_key(|i| (std::cmp::Reverse(size[i.index()]), i.0))
+            })
+            .collect()
+    }
+
+    /// Every node of each layer fed by every node of the layer before: all
+    /// predecessors of a node tie on size, so only the tie-break decides.
+    fn complete_layers(layers: usize, width: usize) -> DiGraph {
+        let mut g = DiGraph::with_nodes(layers * width);
+        for l in 1..layers {
+            for a in 0..width {
+                for b in 0..width {
+                    let (src, dst) = ((l - 1) * width + a, l * width + b);
+                    g.add_edge(NodeId::from_index(src), NodeId::from_index(dst));
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn optimal_cover_matches_alg1_oracle() {
+        let mut graphs = vec![
+            generators::dense_layered(8, 30, 4, 3),
+            generators::dense_layered(5, 70, 6, 11),
+            generators::bipartite_worst(21, 20),
+            generators::bipartite_with_hub(9, 12),
+            complete_layers(6, 12),
+            generators::layered_dag(12, 16, 2, 5),
+        ];
+        for seed in 0..6 {
+            let degree = [0.5, 1.5, 3.0][seed as usize % 3];
+            graphs.push(generators::random_dag(generators::RandomDagConfig {
+                nodes: 300,
+                avg_out_degree: degree,
+                seed,
+            }));
+        }
+        for (k, g) in graphs.iter().enumerate() {
+            let cover = cover_of(g, CoverStrategy::Optimal).unwrap();
+            let want = alg1_oracle(g);
+            for v in g.nodes() {
+                assert_eq!(cover.parent(v), want[v.index()], "graph {k}, node {v:?}");
+            }
+        }
     }
 
     #[test]

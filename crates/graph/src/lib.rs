@@ -6,8 +6,8 @@
 //! * [`DiGraph`] — a growable directed graph with both out- and in-adjacency,
 //!   the base representation for binary relations (paper §3: "a binary
 //!   relation ... corresponds to a graph").
-//! * [`BitSet`] — a fixed-capacity bitset used for predecessor sets in the
-//!   paper's Alg1 and for reachability baselines.
+//! * [`BitSet`] — a fixed-capacity bitset used for reachability baselines,
+//!   traversal visited sets and update worklists.
 //! * [`topo`] — topological sorting and cycle detection.
 //! * [`scc`] — Tarjan's strongly-connected components and graph condensation
 //!   (paper §3: "cyclic graphs [are handled] by collapsing strongly connected

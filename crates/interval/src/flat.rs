@@ -8,6 +8,9 @@
 //! `u32` (or `u16`) key and lets adjacent intervals merge whenever only dead
 //! numbers separate them.
 //!
+//! * [`RankIndex`] — the number-to-rank map itself: a bucketed index over
+//!   the live numbers, so mapping an endpoint searches one bucket instead
+//!   of the whole line.
 //! * [`merged_row_into`] — one label set as merged, ascending rank
 //!   intervals: the single merge rule behind every frozen row, the hybrid
 //!   row selection, and the stats histogram.
@@ -22,12 +25,79 @@
 
 use crate::IntervalSet;
 
-/// Upper bound over a sorted `u64` slice: the number of elements `<= t`
-/// (equivalently, the index of the first element `> t`). Used by the freeze
-/// path to map raw interval endpoints onto live-number ranks.
-#[inline]
-pub fn upper_bound(s: &[u64], t: u64) -> usize {
-    s.partition_point(|&x| x <= t)
+/// Exact rank queries over the sorted live postorder numbers — the map
+/// from raw interval endpoints to ranks that every freeze applies twice per
+/// interval. The span `[base, max]` is cut into about one bucket per
+/// number, `bucket(t) = (t - base) >> shift`, and `starts[b]` is the first
+/// index whose number falls in bucket `b` or later; a query then searches
+/// only its own bucket — a handful of numbers on an evenly gapped line, a
+/// binary search over a crowded bucket otherwise. Exact for any probe and
+/// any strictly increasing line, gaps and tombstones included.
+#[derive(Debug)]
+pub struct RankIndex {
+    nums: Vec<u64>,
+    base: u64,
+    shift: u32,
+    /// `buckets + 1` entries; the last is `nums.len()`.
+    starts: Vec<u32>,
+}
+
+impl RankIndex {
+    /// Indexes `nums`, which must be strictly increasing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nums` holds more than `u32::MAX` numbers (ranks are
+    /// `u32`).
+    pub fn new(nums: Vec<u64>) -> RankIndex {
+        assert!(nums.len() <= u32::MAX as usize, "rank index over {} numbers", nums.len());
+        debug_assert!(nums.windows(2).all(|w| w[0] < w[1]), "line not strictly increasing");
+        let (base, span) = match (nums.first(), nums.last()) {
+            (Some(&lo), Some(&hi)) => (lo, hi - lo),
+            _ => (0, 0),
+        };
+        // Smallest shift leaving at most one bucket per number.
+        let mut shift = 0;
+        while (span >> shift) >= nums.len().max(1) as u64 {
+            shift += 1;
+        }
+        let buckets = (span >> shift) as usize + 1;
+        let mut starts = Vec::with_capacity(buckets + 1);
+        for (i, &x) in nums.iter().enumerate() {
+            let b = ((x - base) >> shift) as usize;
+            starts.resize(starts.len().max(b + 1), i as u32);
+        }
+        starts.resize(buckets + 1, nums.len() as u32);
+        RankIndex { nums, base, shift, starts }
+    }
+
+    /// The number of indexed numbers `x` with `below(x)`, where `below`
+    /// is `x < t` or `x <= t`: everything in earlier buckets, plus a search
+    /// of `t`'s own bucket.
+    #[inline]
+    fn rank(&self, t: u64, below: impl Fn(u64) -> bool) -> usize {
+        let Some(off) = t.checked_sub(self.base) else { return 0 };
+        let b = (off >> self.shift) as usize;
+        match self.starts.get(b..).and_then(|s| s.get(..2)) {
+            Some(&[lo, hi]) => {
+                let (lo, hi) = (lo as usize, hi as usize);
+                lo + self.nums[lo..hi].partition_point(|&x| below(x))
+            }
+            _ => self.nums.len(),
+        }
+    }
+
+    /// The number of indexed numbers `< t`.
+    #[inline]
+    pub fn lower(&self, t: u64) -> usize {
+        self.rank(t, |x| x < t)
+    }
+
+    /// The number of indexed numbers `<= t`.
+    #[inline]
+    pub fn upper(&self, t: u64) -> usize {
+        self.rank(t, |x| x <= t)
+    }
 }
 
 /// Appends rank interval `[lo, hi]` to a row under construction, fusing it
@@ -47,15 +117,15 @@ fn push_merged(row: &mut Vec<(u32, u32)>, lo: u32, hi: u32) {
 }
 
 /// Rank-compresses one label set into merged rank intervals (`out` is
-/// cleared first): each endpoint becomes its index in `line_nums`, the
+/// cleared first): each endpoint becomes its rank among `line`, the
 /// sorted live postorder numbers, and intervals left adjacent or
 /// overlapping in rank space fuse. An interval covering only dead numbers
 /// maps to nothing and is dropped — every query key is a live number.
-pub fn merged_row_into(line_nums: &[u64], set: &IntervalSet, out: &mut Vec<(u32, u32)>) {
+pub fn merged_row_into(line: &RankIndex, set: &IntervalSet, out: &mut Vec<(u32, u32)>) {
     out.clear();
     for iv in set.iter() {
-        let rlo = line_nums.partition_point(|&x| x < iv.lo());
-        let rhi = upper_bound(line_nums, iv.hi());
+        let rlo = line.lower(iv.lo());
+        let rhi = line.upper(iv.hi());
         if rlo < rhi {
             push_merged(out, rlo as u32, (rhi - 1) as u32);
         }
@@ -134,30 +204,6 @@ mod tests {
         count_le, encode_boundaries, encode_head, padded_boundary_keys, probe_head, HeadProbe,
         KeyWidth,
     };
-
-    #[test]
-    fn upper_bound_matches_partition_point() {
-        // Deterministic pseudo-random sorted arrays; compare against a
-        // counting reference on every probe.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for len in 0..40usize {
-            let mut s: Vec<u64> = (0..len).map(|_| next() % 64).collect();
-            s.sort_unstable();
-            for t in 0..66u64 {
-                assert_eq!(
-                    upper_bound(&s, t),
-                    s.iter().filter(|&&x| x <= t).count(),
-                    "len {len}, t {t}, s {s:?}"
-                );
-            }
-        }
-    }
 
     /// Merges each raw row with [`push_merged`] and encodes it through the
     /// byte codec at one key width: heads, spill, and a probe closure.

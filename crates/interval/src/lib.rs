@@ -16,9 +16,10 @@
 //!   use (§4), supporting the gap queries the incremental update algorithms
 //!   need: predecessor/successor lookup, largest-gap search, midpoint
 //!   allocation, and renumbering plans for when gaps run out.
-//! * [`merged_row_into`] / [`stab_tree`] / [`stab`] — rank flattening for
-//!   the read-optimized *frozen query plane*: a label set as merged
-//!   intervals over live-number ranks, and the max-`hi` segment tree that
+//! * [`RankIndex`] / [`merged_row_into`] / [`stab_tree`] / [`stab`] — rank
+//!   flattening for the read-optimized *frozen query plane*: the bucketed
+//!   map from postorder numbers to live-number ranks, a label set as merged
+//!   intervals over those ranks, and the max-`hi` segment tree that
 //!   answers "which sets contain `t`?" stabbing queries in O(k log m).
 //! * [`BitRows`] — word-aligned bitset successor rows for the *hybrid*
 //!   plane: nodes whose merged rank-interval count crosses the configured
@@ -40,7 +41,7 @@ pub mod paged;
 mod set;
 
 pub use bitrow::{BitRows, BitRowsBuilder, NO_ROW};
-pub use flat::{merged_row_into, stab, stab_tree, upper_bound};
+pub use flat::{merged_row_into, stab, stab_tree, RankIndex};
 pub use interval::Interval;
 pub use numberline::{CapacityError, NumberLine, RenumberPlan, DEFAULT_LINE_CAPACITY};
 pub use set::IntervalSet;

@@ -81,6 +81,62 @@ impl IntervalSet {
         true
     }
 
+    /// Unions `other` — intervals sorted by `lo`, not necessarily an
+    /// antichain — into the set in one linear merge, discarding subsumed
+    /// intervals. The result is exactly what inserting each interval of
+    /// `other` in turn would leave: the maximal antichain of a family does
+    /// not depend on insertion order. `tail` is scratch space.
+    ///
+    /// Members starting before `other[0]` can neither be subsumed by it nor
+    /// move, so they stay in place; only the rest is re-merged, and once
+    /// `other` is exhausted the surviving rest is copied back in one block.
+    /// A union that only appends (the common case at a hub whose successors
+    /// arrive in postorder) therefore costs O(log n + |other|).
+    pub fn union_sorted(&mut self, other: &[Interval], tail: &mut Vec<Interval>) {
+        debug_assert!(other.windows(2).all(|w| w[0].lo() <= w[1].lo()), "unsorted: {other:?}");
+        // A leading run of `other` that members already subsume cannot
+        // change the set; in a sweep that is most inherited intervals.
+        let Some(skip) = other.iter().position(|&iv| !self.subsumes(iv)) else { return };
+        let other = &other[skip..];
+        let start = self.items.partition_point(|e| e.lo() < other[0].lo());
+        tail.clear();
+        tail.extend_from_slice(&self.items[start..]);
+        self.items.truncate(start);
+        let mut rest = &tail[..];
+        for &iv in other {
+            while let Some((&e, more)) = rest.split_first() {
+                if e.lo() > iv.lo() {
+                    break;
+                }
+                self.push_maximal(e);
+                rest = more;
+            }
+            self.push_maximal(iv);
+        }
+        // `rest` is an antichain, so the members the last pushed interval
+        // subsumes form a prefix, and everything after the first survivor
+        // survives too.
+        let last_hi = self.items.last().map(|l| l.hi());
+        let skip = rest.partition_point(|e| last_hi.is_some_and(|hi| hi >= e.hi()));
+        if let Some((&e, more)) = rest[skip..].split_first() {
+            self.push_maximal(e);
+            self.items.extend_from_slice(more);
+        }
+        debug_assert!(self.check_invariants());
+    }
+
+    /// Appends `iv` (whose `lo` is at least the last member's) unless the
+    /// last member subsumes it; replaces that member when `iv` subsumes it,
+    /// which with a nondecreasing `lo` needs an equal `lo`.
+    #[inline]
+    fn push_maximal(&mut self, iv: Interval) {
+        match self.items.last_mut() {
+            Some(last) if last.hi() >= iv.hi() => {}
+            Some(last) if last.lo() == iv.lo() => *last = iv,
+            _ => self.items.push(iv),
+        }
+    }
+
     /// Whether some interval contains `n` — the reachability test.
     #[inline]
     pub fn contains_point(&self, n: u64) -> bool {
@@ -292,6 +348,23 @@ mod tests {
         assert!(a.insert_all(&b));
         assert_eq!(a.as_slice(), &[iv(1, 3), iv(5, 6)]);
         assert!(!a.insert_all(&b), "second union is a no-op");
+    }
+
+    #[test]
+    fn union_sorted_merges_like_insert() {
+        let mut tail = Vec::new();
+        let mut s: IntervalSet = [iv(1, 3), iv(5, 7), iv(10, 12)].into_iter().collect();
+        // Equal lo in either order, a subsumer of a member, a duplicate.
+        s.union_sorted(&[iv(5, 6), iv(5, 9), iv(10, 12), iv(11, 20)], &mut tail);
+        assert_eq!(s.as_slice(), &[iv(1, 3), iv(5, 9), iv(10, 12), iv(11, 20)]);
+        // Appending past the end leaves the prefix alone.
+        s.union_sorted(&[iv(30, 31), iv(40, 40)], &mut tail);
+        assert_eq!(s.count(), 6);
+        // A wide interval swallows a run in the middle; the rest survives.
+        s.union_sorted(&[iv(4, 25)], &mut tail);
+        assert_eq!(s.as_slice(), &[iv(1, 3), iv(4, 25), iv(30, 31), iv(40, 40)]);
+        s.union_sorted(&[], &mut tail);
+        assert_eq!(s.count(), 4);
     }
 
     #[test]
