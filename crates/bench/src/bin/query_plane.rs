@@ -122,8 +122,8 @@ fn main() {
         });
         cells.push(Measurement { query: "successors", frozen, threads: 1, ms });
 
-        // Neither the mutable in-arc traversal nor the frozen stabbing
-        // query uses worker threads.
+        // Mutable and frozen run the same in-arc traversal, on no worker
+        // threads.
         let ms = best_of(reps, || {
             sample.iter().map(|&v| closure.predecessors(v).len()).sum::<usize>()
         });

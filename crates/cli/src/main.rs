@@ -90,7 +90,7 @@ global flags: --threads N   batch reads on N worker threads (0 = one per CPU)
                             streams to a temp file and queries page it through
                             an N-frame buffer pool instead of holding it
                             resident (answers are bit-identical); compress
-                            appends a PLN1 plane section for instant restart
+                            appends a PLN2 plane section for instant restart
                             via open_paged, and fuzz mixes paged-probe round
                             trips into the op stream
               --hybrid T    arm the hybrid oracle for frozen planes: rows with
@@ -131,7 +131,7 @@ global-sweep oracle on the same seeds). --codec switches to byte-mutation
 mode: --seeds K corrupted .itc streams (bit flips, truncation, length-field
 sabotage, half with re-signed trailers) are fed to the decoder, which must
 reject each with a structured error — any panic fails the run; the same
-seeds then corrupt a paged (ITC1 + PLN1) image opened and probed through a
+seeds then corrupt a paged (ITC1 + PLN2) image opened and probed through a
 2-frame buffer pool, and a serialized ITCK taxonomy (interior ITC1 trailer
 re-signed so corruption reaches the name table), under the same zero-panic
 rule. --kb switches to knowledge-base differential mode: --seeds K seeded
@@ -462,7 +462,7 @@ fn dot(path: &str, globals: Globals) -> Result<(), String> {
 
 fn compress(path: &str, out: &str, globals: Globals) -> Result<(), String> {
     let closure = load(path, globals)?;
-    // With --paged the image additionally carries a PLN1 plane section, so
+    // With --paged the image additionally carries a PLN2 plane section, so
     // `open_paged` restarts in O(directory) instead of re-freezing.
     let paged = globals.paged.is_some();
     let bytes = if paged { closure.to_paged_bytes() } else { closure.to_bytes() };
@@ -806,7 +806,7 @@ fn fuzz(args: &[String], globals: Globals) -> Result<(), String> {
     if codec {
         // Mutation mode: corrupt serialized closure streams instead of
         // churning update ops; `--seeds` counts mutated cases here. The
-        // same seeds then mutate a save_paged image (ITC1 + PLN1 plane
+        // same seeds then mutate a save_paged image (ITC1 + PLN2 plane
         // section) probed through a 2-frame pool.
         let report = tc_fuzz::closure_campaign(seeds.max(1), seed);
         println!(

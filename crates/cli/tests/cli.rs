@@ -399,7 +399,7 @@ fn paged_flag_round_trips_compress_query_serve_and_fuzz() {
     assert!(out.status.success());
     std::fs::write(&edges, &out.stdout).unwrap();
 
-    // compress --paged appends the PLN1 plane section and its HYB1
+    // compress --paged appends the PLN2 plane section and its HYB1
     // overlay (closed by a 60-byte trailer) ...
     let out = bin()
         .args(["compress", edges.to_str().unwrap(), itc.to_str().unwrap(), "--paged", "4"])

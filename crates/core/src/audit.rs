@@ -207,9 +207,12 @@ impl CompressedClosure {
             }
         }
 
-        // 8. A frozen plane must still mirror the labeling it snapshot.
+        // 8. A frozen plane must still mirror the labeling and graph it
+        // snapshot.
         if let Some(frozen) = &self.frozen {
-            frozen.check_consistency(&self.lab).map_err(|e| format!("query plane: {e}"))?;
+            frozen
+                .check_consistency(&self.lab, &self.graph)
+                .map_err(|e| format!("query plane: {e}"))?;
         }
 
         // 9. Sampled propagation fixed point: a node's stored set must

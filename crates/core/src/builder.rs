@@ -121,7 +121,7 @@ impl ClosureConfig {
     }
 
     /// Serves frozen snapshots *out-of-core*: [`CompressedClosure::freeze`]
-    /// writes the `PLN1` plane image to a temp file and answers queries
+    /// writes the `PLN2` plane image to a temp file and answers queries
     /// through a `pool_pages`-page buffer pool ([`crate::PagedPlane`])
     /// instead of holding the payload in RAM ([`crate::QueryPlane`]). Same
     /// image, same reader, identical answers; steady-state memory drops to

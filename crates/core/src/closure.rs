@@ -1,7 +1,9 @@
 //! The compressed transitive closure and its query API.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
+use tc_graph::traverse::ancestors_into;
 use tc_graph::{dot, topo, DiGraph, NodeId};
 use tc_interval::{merged_row_into, IntervalSet, RankIndex};
 
@@ -58,7 +60,7 @@ impl CompressedClosure {
     /// Freezes the current labels into a read-optimized snapshot:
     /// `reaches`, `reaches_batch`, `successors`, `successor_count`, and
     /// `predecessors` answer from contiguous index arrays until the next
-    /// update invalidates it. The snapshot is one `PLN1` plane image: held
+    /// update invalidates it. The snapshot is one `PLN2` plane image: held
     /// in memory ([`QueryPlane`]) by default, or streamed to a temp file
     /// and served out-of-core through a buffer pool ([`PagedPlane`]) with
     /// [`ClosureConfig::paged`] set. Freezing is O(n + total intervals);
@@ -305,10 +307,11 @@ impl CompressedClosure {
     /// All nodes that reach `node` (including itself), ascending by node
     /// id.
     ///
-    /// Frozen, this is one O(k log m) stabbing query over the plane's
-    /// inverted index. Mutable, it is a reverse traversal over the base
-    /// graph's in-arcs — O(answer + its in-arcs) plus an n-bit visited
-    /// map, so a small answer costs little however large the closure is.
+    /// Mutable or frozen, this is one reverse traversal over the base
+    /// graph's in-arcs ([`tc_graph::traverse::ancestors_into`]): O(answer
+    /// and its in-arcs) plus an n-bit visited map, so a small answer costs
+    /// little however large the closure is. A frozen plane reads the
+    /// in-arcs from its own in-arc segment.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.predecessors_into(node, &mut out);
@@ -321,28 +324,10 @@ impl CompressedClosure {
         if let Some(frozen) = &self.frozen {
             return frozen.predecessors_into(node, out);
         }
-        let mut seen = vec![0u64; self.graph.node_count().div_ceil(64)];
-        let mut mark = |u: NodeId| {
-            let (w, bit) = (u.index() / 64, 1u64 << (u.index() % 64));
-            let fresh = seen[w] & bit == 0;
-            seen[w] |= bit;
-            fresh
-        };
-        mark(node);
-        out.clear();
-        out.push(node);
-        // `out` doubles as the traversal queue: everything before `next`
-        // has had its in-arcs followed.
-        let mut next = 0;
-        while let Some(&v) = out.get(next) {
-            next += 1;
-            for &u in self.graph.predecessors(v) {
-                if mark(u) {
-                    out.push(u);
-                }
-            }
-        }
-        out.sort_unstable();
+        let Ok(()) = ancestors_into::<Infallible>(self.graph.node_count(), node, out, |v, arcs| {
+            arcs.extend_from_slice(self.graph.predecessors(v));
+            Ok(())
+        });
     }
 
     /// Reconstructs one concrete path `src -> ... -> dst` (inclusive), or
@@ -848,7 +833,7 @@ mod tests {
         let narrow = c.plane().expect("frozen").clone();
         let wide = QueryPlane::freeze_wide(&c.graph, &c.lab, usize::MAX);
         assert!(wide.payload_pages() > narrow.payload_pages(), "u32 rows take more room");
-        wide.check_consistency(&c.lab).unwrap();
+        wide.check_consistency(&c.lab, &c.graph).unwrap();
         assert_eq!(wide.total_intervals(), narrow.total_intervals());
         for v in (0..nodes).map(NodeId::from_index) {
             assert_eq!(wide.successors(v), narrow.successors(v), "successors({v:?})");

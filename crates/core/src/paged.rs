@@ -1,9 +1,9 @@
-//! The frozen query plane: one `PLN1` format, two page sources
+//! The frozen query plane: one `PLN2` format, two page sources
 //! (DESIGN.md, "Frozen query plane").
 //!
 //! [`crate::CompressedClosure::freeze`] snapshots the labels into an
 //! immutable, read-optimized plane. There is exactly one layout for it —
-//! the page-aligned `PLN1` image — and one reader, [`FrozenPlane`], generic
+//! the page-aligned `PLN2` image — and one reader, [`FrozenPlane`], generic
 //! (static dispatch) over where the pages live:
 //!
 //! * [`QueryPlane`] = `FrozenPlane<MemPages>` — the resident plane: the
@@ -20,10 +20,11 @@
 //! lock for the whole call (a whole batch, for
 //! [`FrozenPlane::reaches_batch_into`]) and lends frame bytes in place.
 //!
-//! The image holds eight page-aligned payload segments: row heads and
+//! The image holds six page-aligned payload segments: row heads and
 //! boundary spill (the fenced row layout of `tc_interval::paged`), the rank
-//! of each node's own number, the live node at each rank, and the stabbing
-//! index's `los`/`his`/`owners`/segment tree answering `predecessors`. A
+//! of each node's own number, the live node at each rank, and every node's
+//! in-arcs as CSR offsets and sources, which `predecessors` walks backwards
+//! ([`tc_graph::traverse::ancestors_into`], the mutable closure's walk). A
 //! file image adds a fixed-size header with the segment directory and an
 //! FNV-1a payload digest, a 12-byte footer locating the header from the end
 //! of the file, and the resident `HYB1` overlay (negative-cutoff labels and
@@ -31,25 +32,25 @@
 //! ([`CompressedClosure::save_paged`]) or stands alone (freeze-to-temp).
 //!
 //! * **One writer** derives each row once: a counting pass rank-compresses
-//!   every label set into `(lo, hi, owner)` triples in owner order, the
-//!   head and spill segments are encoded from those, and the same triples,
-//!   sorted by `lo` in place, become the stabbing segments. Only file
-//!   targets are digested and get a header and footer. Staging is bounded:
-//!   12 bytes per merged interval (the triples), the stabbing tree (8 bytes
-//!   per leaf, while it is written), 16 bytes per node and per live rank
-//!   (row ends, rank and line arrays, sort buckets), and the resident
-//!   overlay. Row heads and spill keys are encoded one row at a time, so a
-//!   paged freeze never holds the image itself in memory.
+//!   every label set into `(lo, hi)` pairs in owner order, and the head and
+//!   spill segments are encoded from those; the in-arc segments are copied
+//!   from the graph as they are written. Only file targets are digested and
+//!   get a header and footer. Staging is bounded: 8 bytes per merged
+//!   interval (the pairs), about 16 bytes per node and per live rank (row
+//!   ends, rank and line arrays), and the resident overlay. Row heads and
+//!   spill keys are encoded one row at a time, so a paged freeze never
+//!   holds the image itself in memory.
 //! * **Instant restart** — [`PagedPlane::open`] reads only the footer,
 //!   header and overlay: O(directory), independent of the interval count.
 //! * Every query has a fallible `try_*` form whose reads are bounds-checked
 //!   against the directory — a corrupt or truncated image reports
 //!   [`PagedError::Corrupt`] instead of panicking or over-allocating, which
-//!   is what the `PLN1` byte-mutation fuzz campaign in `tc-fuzz` leans on.
+//!   is what the `PLN2` byte-mutation fuzz campaign in `tc-fuzz` leans on.
 //!
-//! Every freeze carries the overlay. Images written before it existed end
-//! at the plane footer; they still open, and serve without the cutoff
-//! screen.
+//! Every `PLN2` image carries the overlay; one without it is `Corrupt`.
+//! `PLN1` images, the layout before the in-arc segments, no longer open as
+//! planes, but [`CompressedClosure::load`] still reads the `ITC1` stream
+//! ahead of them.
 
 use std::fmt;
 use std::fs::{self, File};
@@ -60,12 +61,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tc_graph::topo::CutoffLabels;
+use tc_graph::traverse::ancestors_into;
 use tc_graph::{DiGraph, NodeId};
 use tc_interval::paged::{
     count_le, decode_head, encode_boundaries, encode_head, for_each_boundary_pair,
     padded_boundary_keys, probe_head, HeadProbe, KeyWidth,
 };
-use tc_interval::{merged_row_into, stab, stab_tree, BitRows, BitRowsBuilder, RankIndex};
+use tc_interval::{merged_row_into, BitRows, BitRowsBuilder, RankIndex};
 use tc_pager::{BufferPool, PageId, Pager, PoolStats, DEFAULT_PAGE_SIZE};
 
 use crate::builder::ClosureConfig;
@@ -73,11 +75,14 @@ use crate::codec::{fnv1a, DecodeError, Fnv1a, HashingWriter};
 use crate::labeling::Labeling;
 use crate::CompressedClosure;
 
-/// Magic of the plane section ("PLN1").
-const PLANE_MAGIC: [u8; 4] = *b"PLN1";
+/// Magic of the plane section ("PLN2").
+const PLANE_MAGIC: [u8; 4] = *b"PLN2";
+/// Magic of the retired stabbing-index layout ("PLN1"): still recognised
+/// as a section footer, so the `ITC1` stream ahead of it loads, but never
+/// opened as a plane.
+const RETIRED_PLANE_MAGIC: [u8; 4] = *b"PLN1";
 /// Magic of the hybrid-oracle overlay appended *after* the plane footer
-/// ("HYB1"). Images from before the overlay simply end with the `PLN1`
-/// footer and keep opening unchanged.
+/// ("HYB1"); every `PLN2` image carries it.
 const HYBRID_MAGIC: [u8; 4] = *b"HYB1";
 /// Fixed hybrid trailer at the very end of an overlay-bearing file:
 /// `[magic][n][live][threshold][word count][payload fnv][plane end][fnv]`.
@@ -85,11 +90,11 @@ const HYBRID_TRAILER_BYTES: usize = 60;
 /// Bytes of the hybrid trailer covered by its digest.
 const HYBRID_HASHED: usize = 52;
 /// Fixed header size: fields, segment directory, header digest.
-const HEADER_BYTES: usize = 224;
+const HEADER_BYTES: usize = 192;
 /// Trailing footer: `[header locator: section_start u64][magic]`.
 const FOOTER_BYTES: usize = 12;
 /// Bytes of the header covered by the header digest.
-const HEADER_HASHED: usize = 216;
+const HEADER_HASHED: usize = 184;
 /// Alignment of a resident image's payload: one 128-byte wide row head
 /// (two cache lines) never straddles an extra line.
 const IMAGE_ALIGN: usize = 128;
@@ -99,11 +104,9 @@ const SEG_HEADS: usize = 0;
 const SEG_SPILL: usize = 1;
 const SEG_RANK: usize = 2;
 const SEG_LINE: usize = 3;
-const SEG_STAB_LOS: usize = 4;
-const SEG_STAB_HIS: usize = 5;
-const SEG_STAB_OWNERS: usize = 6;
-const SEG_STAB_TREE: usize = 7;
-const SEG_COUNT: usize = 8;
+const SEG_IN_OFFSETS: usize = 4;
+const SEG_IN_SOURCES: usize = 5;
+const SEG_COUNT: usize = 6;
 
 /// Default buffer-pool capacity (pages) for paged planes opened without an
 /// explicit size: 256 × 4 KiB = 1 MiB of cache.
@@ -114,7 +117,7 @@ pub const DEFAULT_POOL_PAGES: usize = 256;
 pub enum PagedError {
     /// Underlying file I/O failed.
     Io(io::Error),
-    /// The `PLN1` section is missing, structurally invalid, or a probe hit
+    /// The `PLN2` section is missing, structurally invalid, or a probe hit
     /// bytes inconsistent with the directory.
     Corrupt(&'static str),
     /// Thawing failed: the `ITC1` stream ahead of the plane section did
@@ -165,12 +168,12 @@ struct PlaneMeta {
     page_size: usize,
     nodes: usize,
     live: usize,
-    /// Total *merged* rank intervals (the stabbing index length).
+    /// Total *merged* rank intervals over all rows.
     intervals: usize,
     /// Labeling interval count at freeze time, before rank merging.
     source_intervals: usize,
-    /// Stabbing-tree leaf count (power of two, 0 when `intervals == 0`).
-    leaves: usize,
+    /// Arcs of the base graph: the in-arc sources segment's length.
+    arcs: usize,
     /// Boundary keys in the spill segment, padding included.
     spill_keys: u64,
     /// Where the section begins in the file (the `ITC1` stream's length).
@@ -215,23 +218,14 @@ fn as_count(v: u64, what: &'static str) -> Result<usize, PagedError> {
 }
 
 /// Segment lengths the counts dictate, in directory order.
-fn segment_lens(
-    kw: KeyWidth,
-    nodes: u64,
-    live: u64,
-    m: u64,
-    leaves: u64,
-    spill: u64,
-) -> [u64; SEG_COUNT] {
+fn segment_lens(kw: KeyWidth, nodes: u64, live: u64, arcs: u64, spill: u64) -> [u64; SEG_COUNT] {
     [
         nodes * kw.head_bytes() as u64,
         spill * kw.key_bytes() as u64,
         nodes * 4,
         live * 4,
-        m * 4,
-        m * 4,
-        m * 4,
-        if m == 0 { 0 } else { 2 * leaves * 4 },
+        (nodes + 1) * 4,
+        arcs * 4,
     ]
 }
 
@@ -273,7 +267,7 @@ impl PlaneMeta {
             live: as_count(rd_u64(header, 24), "live count")?,
             intervals: as_count(rd_u64(header, 32), "interval count")?,
             source_intervals: as_count(rd_u64(header, 40), "source interval count")?,
-            leaves: as_count(rd_u64(header, 48), "leaf count")?,
+            arcs: as_count(rd_u64(header, 48), "arc count")?,
             spill_keys: rd_u64(header, 56),
             section_start: rd_u64(footer, 0),
             payload_off: rd_u64(header, 64),
@@ -281,17 +275,9 @@ impl PlaneMeta {
             payload_fnv: Some(rd_u64(header, 80)),
             segs,
         };
-        // Ranks must fit the key width (mirrors the freeze gate), and the
-        // tree leaf count must be what the stab descent assumes.
+        // Ranks must fit the key width (mirrors the freeze gate).
         if meta.live as u64 > kw.max_key() as u64 {
             return corrupt("live count exceeds key width");
-        }
-        if meta.intervals == 0 {
-            if meta.leaves != 0 {
-                return corrupt("leaf count for empty index");
-            }
-        } else if meta.leaves != meta.intervals.next_power_of_two() {
-            return corrupt("leaf count");
         }
         // The payload must sit between the section start and the header,
         // in whole pages, with a page count a PageId can address.
@@ -320,8 +306,7 @@ impl PlaneMeta {
             kw,
             meta.nodes as u64,
             meta.live as u64,
-            meta.intervals as u64,
-            meta.leaves as u64,
+            meta.arcs as u64,
             meta.spill_keys,
         );
         let mut prev_end = 0u64;
@@ -352,7 +337,7 @@ impl PlaneMeta {
             self.live as u64,
             self.intervals as u64,
             self.source_intervals as u64,
-            self.leaves as u64,
+            self.arcs as u64,
             self.spill_keys,
             self.payload_off,
             self.payload_len,
@@ -380,32 +365,35 @@ impl PlaneMeta {
 // ---------------------------------------------------------------------------
 
 fn too_big() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, "plane exceeds PLN1 extents")
+    io::Error::new(io::ErrorKind::InvalidData, "plane exceeds PLN2 extents")
 }
 
 /// Everything a freeze derives from the labeling, staged in one pass over
-/// the label sets: the only per-interval state is the triples array.
+/// the label sets: the only per-interval state is the pairs array.
 struct Staged {
     kw: KeyWidth,
     live: usize,
     source_intervals: usize,
+    arcs: usize,
     spill_keys: u64,
     /// Rank of each node's own postorder number — the probe key.
     rank: Vec<u32>,
     /// Live node at each rank: decoding a rank interval is a slice copy.
     line_nodes: Vec<u32>,
-    /// Every merged rank interval as `(lo, hi, owner)`, in owner order.
-    triples: Vec<(u32, u32, u32)>,
-    /// `row_ends[v]` is where node `v`'s row ends in `triples`.
+    /// Every merged rank interval as `(lo, hi)`, in owner order.
+    pairs: Vec<(u32, u32)>,
+    /// `row_ends[v]` is where node `v`'s row ends in `pairs`.
     row_ends: Vec<usize>,
 }
 
 /// Rank-compresses every label set of `lab` once (the counting pass).
 /// Keys are `u16` whenever the live line fits, unless `wide` forces `u32`.
-fn stage(lab: &Labeling, wide: bool) -> io::Result<Staged> {
+fn stage(graph: &DiGraph, lab: &Labeling, wide: bool) -> io::Result<Staged> {
     let n = lab.post.len();
     let live = lab.line.live_count();
-    if n > u32::MAX as usize || live > u32::MAX as usize {
+    let arcs = graph.edge_count();
+    debug_assert_eq!(graph.node_count(), n, "graph/labeling mismatch");
+    if n > u32::MAX as usize || live > u32::MAX as usize || arcs > u32::MAX as usize {
         return Err(too_big());
     }
     let mut line_nums: Vec<u64> = Vec::with_capacity(live);
@@ -422,28 +410,28 @@ fn stage(lab: &Labeling, wide: bool) -> io::Result<Staged> {
     let kw = if live <= u16::MAX as usize && !wide { KeyWidth::Narrow } else { KeyWidth::Wide };
     let line = RankIndex::new(line_nums);
     let source_intervals: usize = lab.sets.iter().map(|s| s.count()).sum();
-    let mut triples = Vec::with_capacity(source_intervals);
+    let mut pairs = Vec::with_capacity(source_intervals);
     let mut row_ends = Vec::with_capacity(n);
     let mut row = Vec::new();
     let mut spill_keys = 0u64;
-    for (owner, set) in lab.sets.iter().enumerate() {
+    for set in &lab.sets {
         merged_row_into(&line, set, &mut row);
-        triples.extend(row.iter().map(|&(lo, hi)| (lo, hi, owner as u32)));
+        pairs.extend_from_slice(&row);
         spill_keys += padded_boundary_keys(row.len(), kw) as u64;
-        row_ends.push(triples.len());
+        row_ends.push(pairs.len());
     }
-    if triples.len() > u32::MAX as usize || spill_keys > u32::MAX as u64 {
+    if pairs.len() > u32::MAX as usize || spill_keys > u32::MAX as u64 {
         return Err(too_big());
     }
-    Ok(Staged { kw, live, source_intervals, spill_keys, rank, line_nodes, triples, row_ends })
+    Ok(Staged { kw, live, source_intervals, arcs, spill_keys, rank, line_nodes, pairs, row_ends })
 }
 
 impl Staged {
-    /// Each node's row of triples, in node order.
-    fn rows(&self) -> impl Iterator<Item = &[(u32, u32, u32)]> + '_ {
+    /// Each node's row of merged rank intervals, in node order.
+    fn rows(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
         let mut start = 0;
         self.row_ends.iter().map(move |&end| {
-            let row = &self.triples[start..end];
+            let row = &self.pairs[start..end];
             start = end;
             row
         })
@@ -456,16 +444,9 @@ impl Staged {
             page_size >= 128 && page_size % 128 == 0,
             "plane page size must be a multiple of 128"
         );
-        let (n, m) = (self.rank.len(), self.triples.len());
-        let leaves = if m == 0 { 0 } else { m.next_power_of_two() };
-        let lens = segment_lens(
-            self.kw,
-            n as u64,
-            self.live as u64,
-            m as u64,
-            leaves as u64,
-            self.spill_keys,
-        );
+        let n = self.rank.len();
+        let lens =
+            segment_lens(self.kw, n as u64, self.live as u64, self.arcs as u64, self.spill_keys);
         let ps = page_size as u64;
         let mut segs = [Segment::default(); SEG_COUNT];
         let mut pos = 0u64;
@@ -479,9 +460,9 @@ impl Staged {
             page_size,
             nodes: n,
             live: self.live,
-            intervals: m,
+            intervals: self.pairs.len(),
             source_intervals: self.source_intervals,
-            leaves,
+            arcs: self.arcs,
             spill_keys: self.spill_keys,
             section_start,
             payload_off: align_up(section_start, ps).ok_or_else(too_big)?,
@@ -495,14 +476,10 @@ impl Staged {
     /// bitset row for every node whose merged row *exceeds* `threshold`
     /// (`usize::MAX` selects none).
     fn hybrid(&self, graph: &DiGraph, threshold: usize) -> ResidentHybrid {
-        debug_assert_eq!(graph.node_count(), self.rank.len(), "graph/labeling mismatch");
         let mut bits = BitRowsBuilder::new(self.rank.len(), self.live);
-        let mut pairs = Vec::new();
         for (owner, row) in self.rows().enumerate() {
             if row.len() > threshold {
-                pairs.clear();
-                pairs.extend(row.iter().map(|&(lo, hi, _)| (lo, hi)));
-                bits.add_row(owner, &pairs);
+                bits.add_row(owner, row);
             }
         }
         ResidentHybrid {
@@ -513,29 +490,30 @@ impl Staged {
     }
 
     /// Writes the payload — every segment and its alignment padding,
-    /// `meta.payload_len` bytes — to `out`.
-    fn write_payload<W: Write>(mut self, meta: &PlaneMeta, out: &mut W) -> io::Result<()> {
+    /// `meta.payload_len` bytes — to `out`, the in-arc segments straight
+    /// from `graph`.
+    fn write_payload<W: Write>(
+        &self,
+        graph: &DiGraph,
+        meta: &PlaneMeta,
+        out: &mut W,
+    ) -> io::Result<()> {
         let kw = self.kw;
         let mut cursor = 0u64;
-        let mut row: Vec<(u32, u32)> = Vec::new();
         let mut head = vec![0u8; kw.head_bytes()];
         let mut bounds: Vec<u8> = Vec::new();
         let mut next_spill = 0u32;
         pad_to(out, &mut cursor, meta.segs[SEG_HEADS].off)?;
-        for r in self.rows() {
-            row.clear();
-            row.extend(r.iter().map(|&(lo, hi, _)| (lo, hi)));
-            encode_head(&mut head, kw, &row, next_spill);
+        for row in self.rows() {
+            encode_head(&mut head, kw, row, next_spill);
             next_spill += padded_boundary_keys(row.len(), kw) as u32;
             out.write_all(&head)?;
             cursor += head.len() as u64;
         }
         pad_to(out, &mut cursor, meta.segs[SEG_SPILL].off)?;
-        for r in self.rows() {
-            row.clear();
-            row.extend(r.iter().map(|&(lo, hi, _)| (lo, hi)));
+        for row in self.rows() {
             bounds.clear();
-            encode_boundaries(&mut bounds, kw, &row);
+            encode_boundaries(&mut bounds, kw, row);
             out.write_all(&bounds)?;
             cursor += bounds.len() as u64;
         }
@@ -543,44 +521,17 @@ impl Staged {
         write_u32s(out, &mut cursor, self.rank.iter().copied())?;
         pad_to(out, &mut cursor, meta.segs[SEG_LINE].off)?;
         write_u32s(out, &mut cursor, self.line_nodes.iter().copied())?;
-        // The stabbing index: the same triples, sorted by lower endpoint in
-        // place — HEADS and SPILL above were the last readers of owner order.
-        sort_by_lo(&mut self.triples, self.live);
-        let stab = &self.triples;
-        pad_to(out, &mut cursor, meta.segs[SEG_STAB_LOS].off)?;
-        write_u32s(out, &mut cursor, stab.iter().map(|t| t.0))?;
-        pad_to(out, &mut cursor, meta.segs[SEG_STAB_HIS].off)?;
-        write_u32s(out, &mut cursor, stab.iter().map(|t| t.1))?;
-        pad_to(out, &mut cursor, meta.segs[SEG_STAB_OWNERS].off)?;
-        write_u32s(out, &mut cursor, stab.iter().map(|t| t.2))?;
-        pad_to(out, &mut cursor, meta.segs[SEG_STAB_TREE].off)?;
-        write_u32s(out, &mut cursor, stab_tree(stab.iter().map(|t| t.1)).into_iter())?;
+        pad_to(out, &mut cursor, meta.segs[SEG_IN_OFFSETS].off)?;
+        let mut end = 0u32;
+        let ends = graph.nodes().map(|v| {
+            end += graph.predecessors(v).len() as u32;
+            end
+        });
+        write_u32s(out, &mut cursor, std::iter::once(0).chain(ends))?;
+        pad_to(out, &mut cursor, meta.segs[SEG_IN_SOURCES].off)?;
+        let sources = graph.nodes().flat_map(|v| graph.predecessors(v)).map(|u| u.0);
+        write_u32s(out, &mut cursor, sources)?;
         pad_to(out, &mut cursor, meta.payload_len)
-    }
-}
-
-/// Sorts `triples` by lower endpoint in place. Every `lo` is a rank below
-/// `live`, so one counting pass fixes each rank's bucket and every triple
-/// is then swapped straight into its bucket: O(m + live) time, and no
-/// second triple array. Order within a bucket is deterministic but
-/// unspecified — the stabbing index needs only ascending `lo`.
-fn sort_by_lo(triples: &mut [(u32, u32, u32)], live: usize) {
-    let mut next = vec![0usize; live + 1];
-    for t in triples.iter() {
-        next[t.0 as usize + 1] += 1;
-    }
-    for r in 1..=live {
-        next[r] += next[r - 1];
-    }
-    let ends = next[1..].to_vec();
-    for bucket in 0..live {
-        while next[bucket] < ends[bucket] {
-            let dest = triples[next[bucket]].0 as usize;
-            if dest != bucket {
-                triples.swap(next[bucket], next[dest]);
-            }
-            next[dest] += 1;
-        }
     }
 }
 
@@ -624,7 +575,7 @@ fn write_u32s<W: Write>(
 }
 
 /// Writes `lab`'s frozen plane as a file image at the writer's position:
-/// the digested `PLN1` section (payload, header, footer), then the `HYB1`
+/// the digested `PLN2` section (payload, header, footer), then the `HYB1`
 /// overlay for `threshold` over `graph`.
 fn write_plane_file<W: Write + Seek>(
     graph: &DiGraph,
@@ -633,12 +584,12 @@ fn write_plane_file<W: Write + Seek>(
     out: &mut W,
 ) -> io::Result<()> {
     let section_start = out.stream_position()?;
-    let staged = stage(lab, false)?;
+    let staged = stage(graph, lab, false)?;
     let mut meta = staged.meta(DEFAULT_PAGE_SIZE, section_start)?;
     let hybrid = staged.hybrid(graph, threshold);
     write_zeros(out, meta.payload_off - section_start)?;
     let mut w = HashingWriter::new(&mut *out);
-    staged.write_payload(&meta, &mut w)?;
+    staged.write_payload(graph, &meta, &mut w)?;
     debug_assert_eq!(w.written(), meta.payload_len);
     meta.payload_fnv = Some(w.digest());
     out.write_all(&meta.header())?;
@@ -655,10 +606,10 @@ fn write_plane_file<W: Write + Seek>(
 // The hybrid oracle's two structures — negative-cutoff labels and the
 // bitset rows — are consulted on (nearly) every probe, so paging them would
 // defeat their purpose. They stay resident in every plane; a file image
-// carries them as an overlay appended after the `PLN1` footer:
+// carries them as an overlay appended after the `PLN2` footer:
 // `mn[n] ++ post[n] ++ slots[n]` as `u32`s, then the words arena as `u64`s,
 // closed by a fixed trailer that locates where the plain plane image ends.
-// Every node keeps its full interval row in the `PLN1` section either way.
+// Every node keeps its full interval row in the `PLN2` section either way.
 
 /// The hybrid structures held in memory alongside a [`FrozenPlane`].
 #[derive(Debug, Clone)]
@@ -670,7 +621,7 @@ struct ResidentHybrid {
 
 impl ResidentHybrid {
     /// Appends the overlay and its trailer; `plane_end` is where the
-    /// writer's `PLN1` image ends (the current position).
+    /// writer's `PLN2` image ends (the current position).
     fn write_overlay<W: Write>(&self, live: usize, plane_end: u64, out: &mut W) -> io::Result<()> {
         let mut w = HashingWriter::new(&mut *out);
         let mut cursor = 0u64;
@@ -713,7 +664,7 @@ struct HybridTail {
     threshold: u64,
     words: usize,
     payload_fnv: u64,
-    /// Where the `PLN1` file image ends — also the overlay payload start.
+    /// Where the plane file image ends — also the overlay payload start.
     plane_end: u64,
 }
 
@@ -723,7 +674,7 @@ impl HybridTail {
     }
 
     /// Parses the trailing [`HYBRID_TRAILER_BYTES`] of a file. `Ok(None)`
-    /// means "no overlay here" (fall through to a plain `PLN1` parse);
+    /// means "no overlay here" (the plain image ends the file);
     /// a valid magic with a broken digest or shape is `Corrupt`.
     fn parse(file_len: u64, t: &[u8]) -> Result<Option<HybridTail>, PagedError> {
         if t.len() != HYBRID_TRAILER_BYTES || t[0..4] != HYBRID_MAGIC {
@@ -774,7 +725,7 @@ impl HybridTail {
 }
 
 /// If `data` ends with a valid hybrid trailer, the prefix holding the plain
-/// `PLN1` file image; `data` unchanged otherwise. Purely structural.
+/// plane file image; `data` unchanged otherwise. Purely structural.
 fn strip_hybrid_tail(data: &[u8]) -> &[u8] {
     if data.len() < HYBRID_TRAILER_BYTES {
         return data;
@@ -786,22 +737,27 @@ fn strip_hybrid_tail(data: &[u8]) -> &[u8] {
     }
 }
 
-/// The overlay's counts must match the plane it annotates.
-fn check_hybrid_shape(meta: &PlaneMeta, hybrid: Option<&ResidentHybrid>) -> Result<(), PagedError> {
-    if let Some(h) = hybrid {
-        if h.cutoff.len() != meta.nodes || h.bitrows.slots().len() != meta.nodes {
-            return corrupt("hybrid overlay node count mismatch");
-        }
-        if h.bitrows.row_count() > 0 && h.bitrows.width_words() != meta.live.div_ceil(64) {
-            return corrupt("hybrid overlay width mismatch");
-        }
+/// The overlay every `PLN2` image carries, checked against the plane it
+/// annotates: its counts must match.
+fn check_hybrid_shape(
+    meta: &PlaneMeta,
+    hybrid: Option<ResidentHybrid>,
+) -> Result<ResidentHybrid, PagedError> {
+    let Some(h) = hybrid else {
+        return corrupt("no hybrid overlay");
+    };
+    if h.cutoff.len() != meta.nodes || h.bitrows.slots().len() != meta.nodes {
+        return corrupt("hybrid overlay node count mismatch");
     }
-    Ok(())
+    if h.bitrows.row_count() > 0 && h.bitrows.width_words() != meta.live.div_ceil(64) {
+        return corrupt("hybrid overlay width mismatch");
+    }
+    Ok(h)
 }
 
 /// Splits an in-memory file image into its validated plane metadata, its
-/// payload bytes, and its overlay (if any).
-fn parse_image(data: &[u8]) -> Result<(PlaneMeta, &[u8], Option<ResidentHybrid>), PagedError> {
+/// payload bytes, and its overlay.
+fn parse_image(data: &[u8]) -> Result<(PlaneMeta, &[u8], ResidentHybrid), PagedError> {
     let mut hybrid = None;
     let mut plane = data;
     if data.len() >= HYBRID_TRAILER_BYTES {
@@ -819,7 +775,7 @@ fn parse_image(data: &[u8]) -> Result<(PlaneMeta, &[u8], Option<ResidentHybrid>)
     let header = &plane[plane.len() - tail..plane.len() - FOOTER_BYTES];
     let footer = &plane[plane.len() - FOOTER_BYTES..];
     let meta = PlaneMeta::parse(plane.len() as u64, header, footer)?;
-    check_hybrid_shape(&meta, hybrid.as_ref())?;
+    let hybrid = check_hybrid_shape(&meta, hybrid)?;
     let payload = &plane[meta.payload_off as usize..(meta.payload_off + meta.payload_len) as usize];
     Ok((meta, payload, hybrid))
 }
@@ -1077,7 +1033,7 @@ impl PageSession for PoolSession<'_> {
 // ---------------------------------------------------------------------------
 
 /// A frozen query plane: an immutable snapshot of a closure's labels in the
-/// `PLN1` layout, served from page source `S`. Answers `reaches`,
+/// `PLN2` layout, served from page source `S`. Answers `reaches`,
 /// `successors`, `successor_count` and `predecessors` identically whatever
 /// the source; see [`QueryPlane`] and [`PagedPlane`].
 #[derive(Debug, Clone)]
@@ -1085,15 +1041,14 @@ pub struct FrozenPlane<S> {
     meta: PlaneMeta,
     pages: S,
     /// Resident hybrid-oracle structures (negative-cutoff labels + bitset
-    /// rows). Every freeze carries them; only images written before the
-    /// overlay existed open without (and then skip the cutoff screen).
-    hybrid: Option<ResidentHybrid>,
+    /// rows), which every image carries.
+    hybrid: ResidentHybrid,
 }
 
-/// The resident plane: a `PLN1` payload held in RAM, read without locks.
+/// The resident plane: a `PLN2` payload held in RAM, read without locks.
 pub type QueryPlane = FrozenPlane<MemPages>;
 
-/// The out-of-core plane: a `PLN1` payload paged through a buffer pool.
+/// The out-of-core plane: a `PLN2` payload paged through a buffer pool.
 pub type PagedPlane = FrozenPlane<PoolPages>;
 
 impl<S: PageSource> FrozenPlane<S> {
@@ -1117,15 +1072,14 @@ impl<S: PageSource> FrozenPlane<S> {
     }
 
     /// The hybrid threshold the plane was frozen with (`usize::MAX` as a
-    /// `u64` for a pure-interval freeze); `None` for an image without an
-    /// overlay.
-    pub fn hybrid_threshold(&self) -> Option<u64> {
-        self.hybrid.as_ref().map(|h| h.threshold)
+    /// `u64` for a pure-interval freeze).
+    pub fn hybrid_threshold(&self) -> u64 {
+        self.hybrid.threshold
     }
 
     /// Number of nodes served from resident bitset rows.
     pub fn bitset_rows(&self) -> usize {
-        self.hybrid.as_ref().map_or(0, |h| h.bitrows.row_count())
+        self.hybrid.bitrows.row_count()
     }
 
     /// The `len` bytes at `byte_off` within segment `seg`, bounds-checked
@@ -1226,21 +1180,17 @@ impl<S: PageSource> FrozenPlane<S> {
         dst: NodeId,
     ) -> Result<bool, PagedError> {
         let row = self.check_node(src)?;
-        if let Some(h) = &self.hybrid {
-            self.check_node(dst)?;
-            // The cutoff labels rule out most unreachable pairs without a
-            // single page read; a resident bitset row answers the rest of
-            // its node's probes with one word test.
-            if !h.cutoff.may_reach(src, dst) {
-                return Ok(false);
-            }
-            let t = self.rank_of(s, dst)?;
-            if let Some(hit) = h.bitrows.contains(row, t) {
-                return Ok(hit);
-            }
-            return self.row_contains(s, row, t);
+        self.check_node(dst)?;
+        // The cutoff labels rule out most unreachable pairs without a
+        // single page read; a resident bitset row answers the rest of its
+        // node's probes with one word test.
+        if !self.hybrid.cutoff.may_reach(src, dst) {
+            return Ok(false);
         }
         let t = self.rank_of(s, dst)?;
+        if let Some(hit) = self.hybrid.bitrows.contains(row, t) {
+            return Ok(hit);
+        }
         self.row_contains(s, row, t)
     }
 
@@ -1392,16 +1342,14 @@ impl<S: PageSource> FrozenPlane<S> {
         // A bitset row decodes as maximal set-bit runs — the same (lo, hi)
         // geometry its interval row holds, so the output order (ascending
         // rank == ascending postorder number) is identical.
-        if let Some(h) = &self.hybrid {
-            let mut res = Ok(());
-            let found = h.bitrows.for_each_run(row, |lo, hi| {
-                if res.is_ok() {
-                    res = self.read_line_run(s, lo, hi, out);
-                }
-            });
-            if found {
-                return res;
+        let mut res = Ok(());
+        let found = self.hybrid.bitrows.for_each_run(row, |lo, hi| {
+            if res.is_ok() {
+                res = self.read_line_run(s, lo, hi, out);
             }
+        });
+        if found {
+            return res;
         }
         self.for_each_row_interval(s, row, |s, lo, hi| self.read_line_run(s, lo, hi, out))
     }
@@ -1424,7 +1372,7 @@ impl<S: PageSource> FrozenPlane<S> {
     /// Fallible [`FrozenPlane::successor_count`].
     pub fn try_successor_count(&self, node: NodeId) -> Result<usize, PagedError> {
         let row = self.check_node(node)?;
-        if let Some(count) = self.hybrid.as_ref().and_then(|h| h.bitrows.count(row)) {
+        if let Some(count) = self.hybrid.bitrows.count(row) {
             return Ok(count);
         }
         let mut count = 0usize;
@@ -1440,53 +1388,53 @@ impl<S: PageSource> FrozenPlane<S> {
         self.try_successor_count(node).expect("frozen plane probe")
     }
 
-    /// Fallible [`FrozenPlane::predecessors_into`].
+    /// Fallible [`FrozenPlane::predecessors_into`]. The in-arc segment is
+    /// checked as it is walked: offsets must ascend within the arc count,
+    /// sources must be node ids, and every arc must run from a later finish
+    /// of the overlay's cutoff DFS to an earlier one, which no arc cycle
+    /// can. Anything else is [`PagedError::Corrupt`].
     pub fn try_predecessors_into(
         &self,
         node: NodeId,
         out: &mut Vec<NodeId>,
     ) -> Result<(), PagedError> {
-        out.clear();
+        self.check_node(node)?;
         let s = &mut self.pages.session();
-        let t = self.rank_of(s, node)?;
-        // Candidate prefix: positions with lo <= t (los is ascending).
-        let (mut lo, mut hi) = (0u64, self.meta.intervals as u64);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.u32_at(s, SEG_STAB_LOS, mid)? <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let post = self.hybrid.cutoff.post();
+        let (nodes, arcs) = (self.meta.nodes, self.meta.arcs);
+        ancestors_into(nodes, node, out, |v, preds| {
+            let at = v.index() as u64;
+            let start = self.u32_at(s, SEG_IN_OFFSETS, at)?;
+            let end = self.u32_at(s, SEG_IN_OFFSETS, at + 1)?;
+            if start > end || end as usize > arcs {
+                return corrupt("in-arc offsets out of order");
             }
-        }
-        let limit = self.meta.intervals;
-        stab(
-            self.meta.leaves,
-            lo as usize,
-            t,
-            s,
-            &|s, i| self.u32_at(s, SEG_STAB_TREE, i as u64),
-            &mut |s, pos| {
-                let owner = self.u32_at(s, SEG_STAB_OWNERS, pos as u64)?;
-                if owner as usize >= self.meta.nodes {
-                    return corrupt("stab owner out of range");
+            let mut res = Ok(());
+            let len = (end - start) as u64 * 4;
+            self.seg_scan(s, SEG_IN_SOURCES, start as u64 * 4, len, |chunk| {
+                if res.is_err() {
+                    return;
                 }
-                if out.len() >= limit {
-                    return corrupt("stab result exceeds interval count");
-                }
-                out.push(NodeId(owner));
-                Ok(())
-            },
-        )?;
-        // A row's merged intervals are disjoint, so each owner appears at
-        // most once — sorting alone restores id order.
-        out.sort_unstable();
-        Ok(())
+                res = chunk.chunks_exact(4).try_for_each(|c| {
+                    let u = rd_u32(c, 0) as usize;
+                    if u >= nodes {
+                        return corrupt("in-arc source out of range");
+                    }
+                    if post[u] <= post[v.index()] {
+                        return corrupt("in-arc against the DFS finish order");
+                    }
+                    preds.push(NodeId::from_index(u));
+                    Ok(())
+                });
+            })?;
+            res
+        })
     }
 
     /// All nodes that reach `node` (including itself), ascending by node
-    /// id: one O(k log m) stabbing query for `node`'s rank over the
-    /// inverted index, instead of asking all n rows.
+    /// id: the mutable closure's reverse traversal
+    /// ([`tc_graph::traverse::ancestors_into`]) over the plane's in-arc
+    /// segment, O(answer + its in-arcs) reads.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.predecessors_into(node, &mut out);
@@ -1494,7 +1442,8 @@ impl<S: PageSource> FrozenPlane<S> {
     }
 
     /// [`FrozenPlane::predecessors`] into a caller-provided buffer (cleared
-    /// first); with a reused buffer the query allocates nothing.
+    /// first). Like the mutable closure's walk, each call allocates an
+    /// n-bit visited set.
     pub fn predecessors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         self.try_predecessors_into(node, out).expect("frozen plane probe");
     }
@@ -1516,11 +1465,12 @@ impl<S: PageSource> FrozenPlane<S> {
         Ok(())
     }
 
-    /// Cross-checks the snapshot against the labeling it should mirror —
-    /// shape, source interval count, and the full rank bijection. O(n +
-    /// live) reads; run by [`CompressedClosure::audit`] whenever a plane is
-    /// frozen, so the fuzzer catches a stale or torn snapshot immediately.
-    pub(crate) fn check_consistency(&self, lab: &Labeling) -> Result<(), String> {
+    /// Cross-checks the snapshot against the labeling and graph it should
+    /// mirror — shape, source interval count, the full rank bijection and
+    /// every in-arc. O(n + live + arcs) reads; run by
+    /// [`CompressedClosure::audit`] whenever a plane is frozen, so the
+    /// fuzzer catches a stale or torn snapshot immediately.
+    pub(crate) fn check_consistency(&self, lab: &Labeling, graph: &DiGraph) -> Result<(), String> {
         let n = lab.post.len();
         if self.meta.nodes != n {
             return Err(format!("plane holds {} nodes for {n} in the labeling", self.meta.nodes));
@@ -1545,13 +1495,18 @@ impl<S: PageSource> FrozenPlane<S> {
                 self.meta.intervals
             ));
         }
-        if let Some(h) = &self.hybrid {
-            if h.cutoff.len() != n {
-                return Err(format!(
-                    "plane cutoff labels cover {} nodes, labeling has {n}",
-                    h.cutoff.len()
-                ));
-            }
+        if self.hybrid.cutoff.len() != n {
+            return Err(format!(
+                "plane cutoff labels cover {} nodes, labeling has {n}",
+                self.hybrid.cutoff.len()
+            ));
+        }
+        if self.meta.arcs != graph.edge_count() {
+            return Err(format!(
+                "plane holds {} in-arcs for {} arcs in the graph",
+                self.meta.arcs,
+                graph.edge_count()
+            ));
         }
         let s = &mut self.pages.session();
         let mut read =
@@ -1567,6 +1522,22 @@ impl<S: PageSource> FrozenPlane<S> {
                     return Err(format!(
                         "node {node} has rank {rank} in the plane but its number {num} sits at rank {r}"
                     ));
+                }
+            }
+        }
+        let mut end = 0;
+        for v in graph.nodes() {
+            let preds = graph.predecessors(v);
+            let start = end;
+            end += preds.len();
+            if read(SEG_IN_OFFSETS, v.index())? as usize != start
+                || read(SEG_IN_OFFSETS, v.index() + 1)? as usize != end
+            {
+                return Err(format!("plane in-arc offsets of {v:?} disagree with the graph"));
+            }
+            for (ix, u) in (start..).zip(preds) {
+                if read(SEG_IN_SOURCES, ix)? != u.0 {
+                    return Err(format!("plane in-arcs of {v:?} disagree with the graph"));
                 }
             }
         }
@@ -1593,14 +1564,15 @@ impl QueryPlane {
 
     fn freeze_keys(graph: &DiGraph, lab: &Labeling, threshold: usize, wide: bool) -> QueryPlane {
         let build = || -> io::Result<QueryPlane> {
-            let staged = stage(lab, wide)?;
+            let staged = stage(graph, lab, wide)?;
             let meta = staged.meta(DEFAULT_PAGE_SIZE, 0)?;
             let hybrid = staged.hybrid(graph, threshold);
-            let pages =
-                MemPages::build(meta.payload_len as usize, |w| staged.write_payload(&meta, w))?;
-            Ok(FrozenPlane { meta, pages, hybrid: Some(hybrid) })
+            let pages = MemPages::build(meta.payload_len as usize, |w| {
+                staged.write_payload(graph, &meta, w)
+            })?;
+            Ok(FrozenPlane { meta, pages, hybrid })
         };
-        build().expect("plane exceeds PLN1 extents")
+        build().expect("plane exceeds PLN2 extents")
     }
 
     /// Loads an image — a [`CompressedClosure::save_paged`] file or a
@@ -1649,9 +1621,9 @@ impl PagedPlane {
     ) -> Result<PagedPlane, PagedError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        // An overlay, when present, sits between the plane footer and the
-        // end of the file; load it resident and parse the `PLN1` section as
-        // if the file ended where the overlay begins.
+        // The overlay sits between the plane footer and the end of the
+        // file; load it resident and parse the `PLN2` section as if the
+        // file ended where the overlay begins.
         let mut hybrid = None;
         let mut plane_len = file_len;
         if file_len >= HYBRID_TRAILER_BYTES as u64 {
@@ -1671,7 +1643,7 @@ impl PagedPlane {
         let mut buf = [0u8; HEADER_BYTES + FOOTER_BYTES];
         file.read_exact_at(&mut buf, plane_len - tail)?;
         let meta = PlaneMeta::parse(plane_len, &buf[..HEADER_BYTES], &buf[HEADER_BYTES..])?;
-        check_hybrid_shape(&meta, hybrid.as_ref())?;
+        let hybrid = check_hybrid_shape(&meta, hybrid)?;
         let pager = Pager::open_file_region(
             file,
             meta.payload_off,
@@ -1795,8 +1767,8 @@ impl Frozen {
         on_plane!(self, p => p.predecessors_into(node, out))
     }
 
-    pub(crate) fn check_consistency(&self, lab: &Labeling) -> Result<(), String> {
-        on_plane!(self, p => p.check_consistency(lab))
+    pub(crate) fn check_consistency(&self, lab: &Labeling, graph: &DiGraph) -> Result<(), String> {
+        on_plane!(self, p => p.check_consistency(lab, graph))
     }
 }
 
@@ -1901,7 +1873,7 @@ impl PagedClosure {
 
 impl CompressedClosure {
     /// Serializes the closure as an `ITC1` stream followed by its frozen
-    /// plane image (`PLN1` section plus `HYB1` overlay). The result can be
+    /// plane image (`PLN2` section plus `HYB1` overlay). The result can be
     /// reopened instantly with [`CompressedClosure::open_paged`] or loaded
     /// fully with [`CompressedClosure::load`].
     pub fn save_paged<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
@@ -1953,17 +1925,18 @@ impl CompressedClosure {
     }
 }
 
-/// If `data` ends with a plane footer (optionally followed by a hybrid
-/// overlay), the byte offset where the section begins (i.e. the `ITC1`
-/// stream length). Purely structural — corrupt sections are caught later by
-/// the header digest.
+/// If `data` ends with a `PLN2` or retired `PLN1` plane footer (optionally
+/// followed by a hybrid overlay), the byte offset where the section begins
+/// (i.e. the `ITC1` stream length). Purely structural — corrupt sections
+/// are caught later by the header digest. Both layouts end in a 12-byte
+/// footer and keep a header of at least [`HEADER_BYTES`] before it.
 fn plane_section_start(data: &[u8]) -> Option<usize> {
     let data = strip_hybrid_tail(data);
     if data.len() < HEADER_BYTES + FOOTER_BYTES {
         return None;
     }
     let footer = &data[data.len() - FOOTER_BYTES..];
-    if footer[8..12] != PLANE_MAGIC {
+    if footer[8..12] != PLANE_MAGIC && footer[8..12] != RETIRED_PLANE_MAGIC {
         return None;
     }
     let start = rd_u64(footer, 0);
@@ -2010,7 +1983,7 @@ mod tests {
         }
     }
 
-    /// Where the `PLN1` image inside `bytes` ends (before any overlay).
+    /// Where the `PLN2` image inside `bytes` ends (before any overlay).
     fn plane_end(bytes: &[u8]) -> usize {
         strip_hybrid_tail(bytes).len()
     }
@@ -2138,7 +2111,7 @@ mod tests {
     }
 
     /// Construction output pinned byte for byte: the FNV-1a of the `ITC1`
-    /// stream and the `PLN1` payload digest, for two seeded graphs built
+    /// stream and the `PLN2` payload digest, for two seeded graphs built
     /// with a gap and a refinement reserve. The cover, the sweep and the
     /// rank compression are free to get faster; their output is not free
     /// to change.
@@ -2159,29 +2132,80 @@ mod tests {
             })
             .collect();
         let want = vec![
-            (0xaa6b_56c9_e010_7799, 0x0345_2eb7_6553_6096),
-            (0xeca9_d80f_a681_b563, 0xa0fc_2714_e75d_2527),
+            (0xaa6b_56c9_e010_7799, 0x7f67_2f57_4e9e_e4b9),
+            (0xeca9_d80f_a681_b563, 0x34ce_1f42_92b4_b9d2),
         ];
         assert_eq!(got, want, "construction output changed");
     }
 
-    /// An image written before every freeze carried the `HYB1` overlay: it
-    /// ends at the `PLN1` footer. Both sources open it, serve it without
-    /// the cutoff screen, and answer like the closure it was saved from.
+    /// A retired `PLN1` image (the stabbing-index layout, this one written
+    /// before the `HYB1` overlay existed) ends at its plane footer. The
+    /// `ITC1` stream ahead of it still loads, but neither source opens the
+    /// section as a plane.
     #[test]
-    fn images_without_an_overlay_still_open_and_answer() {
+    fn retired_pln1_images_load_but_do_not_open() {
         let image = include_bytes!("../../../tests/fixtures/plane_without_overlay.itc");
         assert_eq!(&image[image.len() - 4..], b"PLN1", "fixture ends at the plane footer");
         let c = CompressedClosure::from_bytes_auto(image).unwrap();
-        assert!(c.node_count() <= 200);
-        let paged = PagedPlane::open_from_bytes(image, 2).unwrap();
-        let resident = QueryPlane::open_from_bytes(image).unwrap();
-        assert_eq!(paged.hybrid_threshold(), None);
-        assert_eq!(resident.hybrid_threshold(), None);
-        paged.verify_payload().unwrap();
-        resident.verify_payload().unwrap();
-        assert_plane_matches(&c, &paged);
-        assert_plane_matches(&c, &resident);
+        assert!(c.node_count() > 0 && c.node_count() <= 200);
+        c.verify().unwrap();
+        assert!(matches!(PagedPlane::open_from_bytes(image, 2), Err(PagedError::Corrupt(_))));
+        assert!(matches!(QueryPlane::open_from_bytes(image), Err(PagedError::Corrupt(_))));
+    }
+
+    /// Forged in-arc segments fail the walk instead of answering or
+    /// looping: each forgery leaves the header alone, so both sources open
+    /// the image, and `predecessors` of the chain's sink must report it.
+    #[test]
+    fn forged_in_arcs_are_corrupt_and_terminate() {
+        let g = tc_graph::DiGraph::from_edges([(0u32, 1u32), (1, 2), (2, 3)]);
+        let good = CompressedClosure::build(&g).unwrap().to_paged_bytes();
+        let (meta, _, _) = parse_image(&good).unwrap();
+        let cell =
+            |seg: usize, ix: usize| (meta.payload_off + meta.segs[seg].off) as usize + 4 * ix;
+        let sink = NodeId(3);
+        let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+        assert_eq!(QueryPlane::open_from_bytes(&good).unwrap().predecessors(sink), all);
+        // The chain's in-arcs: offsets [0, 0, 1, 2, 3], sources [0, 1, 2].
+        let forgeries = [
+            ("non-monotone offsets", cell(SEG_IN_OFFSETS, 2), 3u32),
+            ("an offset past the arc count", cell(SEG_IN_OFFSETS, 4), 7),
+            ("a source id past the nodes", cell(SEG_IN_SOURCES, 0), 99),
+            ("the arc cycle 1 -> 2 -> 1", cell(SEG_IN_SOURCES, 0), 2),
+        ];
+        for (what, at, value) in forgeries {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let mut out = Vec::new();
+            let paged = PagedPlane::open_from_bytes(&bad, 1).unwrap();
+            let got = paged.try_predecessors_into(sink, &mut out);
+            assert!(matches!(got, Err(PagedError::Corrupt(_))), "paged, {what}: {got:?}");
+            let resident = QueryPlane::open_from_bytes(&bad).unwrap();
+            let got = resident.try_predecessors_into(sink, &mut out);
+            assert!(matches!(got, Err(PagedError::Corrupt(_))), "resident, {what}: {got:?}");
+        }
+    }
+
+    /// The in-arc segment is part of what a plane must mirror: one frozen
+    /// before an arc the closure already implies keeps every label right
+    /// and still fails the audit's consistency check.
+    #[test]
+    fn a_plane_frozen_before_an_add_edge_is_inconsistent() {
+        let mut c = sample_closure();
+        let plane = QueryPlane::freeze(&c.graph, &c.lab, usize::MAX);
+        plane.check_consistency(&c.lab, &c.graph).unwrap();
+        let (src, dst) = c
+            .graph
+            .nodes()
+            .flat_map(|v| c.graph.successors(v).iter().map(move |&w| (v, w)))
+            .find_map(|(v, w)| {
+                let x = *c.graph.successors(w).first()?;
+                (!c.graph.has_edge(v, x)).then_some((v, x))
+            })
+            .expect("a two-arc path without a shortcut");
+        c.add_edge(src, dst).unwrap();
+        let err = plane.check_consistency(&c.lab, &c.graph).unwrap_err();
+        assert!(err.contains("in-arcs"), "{err}");
     }
 
     fn hybrid_closure() -> CompressedClosure {
@@ -2196,14 +2220,14 @@ mod tests {
         let c = hybrid_closure();
         let bytes = c.to_paged_bytes();
         let paged = PagedPlane::open_from_bytes(&bytes, 8).unwrap();
-        assert_eq!(paged.hybrid_threshold(), Some(2));
+        assert_eq!(paged.hybrid_threshold(), 2);
         assert!(paged.bitset_rows() > 0, "threshold 2 must select bitset rows");
         assert_plane_matches(&c, &paged);
         // A pure-interval freeze of the same labels carries cutoff labels
         // but no bitset rows, and answers identically.
         let pure = QueryPlane::freeze(&c.graph, &c.lab, usize::MAX);
         assert_eq!(pure.bitset_rows(), 0);
-        assert_eq!(pure.hybrid_threshold(), Some(u64::MAX));
+        assert_eq!(pure.hybrid_threshold(), u64::MAX);
         assert_plane_matches(&c, &pure);
     }
 
@@ -2230,6 +2254,11 @@ mod tests {
         let good = c.to_paged_bytes();
         let plane_end = plane_end(&good);
         assert!(plane_end < good.len(), "every image carries the overlay");
+        // Without it, the plane section alone does not open.
+        assert!(matches!(
+            PagedPlane::open_from_bytes(&good[..plane_end], 4),
+            Err(PagedError::Corrupt(_))
+        ));
         // A flipped overlay payload byte breaks the payload digest.
         let mut bad = good.clone();
         bad[plane_end] ^= 0xff;
@@ -2294,7 +2323,7 @@ mod tests {
             decoded += out.len();
         }
         assert_eq!(decoded, 5665);
-        assert_eq!(plane.io_stats(), stats(1099, 14207, 1083));
+        assert_eq!(plane.io_stats(), stats(631, 10327, 615));
     }
 
     /// Four threads share one plane on a one-frame pool — every fetch

@@ -94,9 +94,13 @@ pub struct ServiceConfig {
     pub audit: bool,
 }
 
+/// Whether shard writers audit before each freeze unless told otherwise:
+/// on in debug builds only.
+const AUDIT_BY_DEFAULT: bool = cfg!(debug_assertions);
+
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { audit: cfg!(debug_assertions) }
+        ServiceConfig { audit: AUDIT_BY_DEFAULT }
     }
 }
 
@@ -272,7 +276,8 @@ impl ServiceSnapshot {
     }
 
     /// All nodes reaching `node` (including itself), ascending by node id:
-    /// one stabbing query over the plane's inverted index (O(k log m)).
+    /// one reverse traversal over the plane's in-arc segment, O(answer and
+    /// its in-arcs).
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.predecessors_into(node, &mut out);
@@ -280,7 +285,8 @@ impl ServiceSnapshot {
     }
 
     /// [`ServiceSnapshot::predecessors`] into a caller-provided buffer
-    /// (cleared first); with a reused buffer the query allocates nothing.
+    /// (cleared first). Each call allocates an n-bit visited set, as the
+    /// mutable closure's walk does.
     pub fn predecessors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         if node.index() >= self.nodes {
             out.clear();

@@ -101,7 +101,7 @@ pub enum ViolationKind {
     /// A pinned service snapshot's answers diverged from the DFS closure of
     /// the relation as it was when that snapshot was published.
     Service,
-    /// The out-of-core `PLN1` round trip failed, or the paged plane's
+    /// The out-of-core `PLN2` round trip failed, or the paged plane's
     /// answers diverged from the closure under test.
     Paged,
     /// The lockstep [`ShardedService`] replica diverged from the closure
@@ -365,7 +365,7 @@ impl EngineState {
         }
     }
 
-    /// Round-trips the closure through the `PLN1` out-of-core format and
+    /// Round-trips the closure through the `PLN2` out-of-core format and
     /// compares the paged plane's answers — served through a 2-frame pool,
     /// so nearly every probe evicts — against the closure under test:
     /// every successor set, every predecessor set, every successor count,

@@ -40,7 +40,7 @@ pub struct GenConfig {
     /// same seed-stability reason.
     pub delete_bias: bool,
     /// Mix `paged-probe` ops into the stream, round-tripping the closure
-    /// through the out-of-core `PLN1` format mid-churn and lockstep-
+    /// through the out-of-core `PLN2` format mid-churn and lockstep-
     /// comparing the paged answers. Off by default for the same
     /// seed-stability reason.
     pub paged: bool,

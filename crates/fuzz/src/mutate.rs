@@ -174,7 +174,7 @@ where
     campaign_with_refix(base, cases, seed, &|bytes| refix_checksum(bytes), decode)
 }
 
-/// [`campaign`] with a format-specific re-sign step — `PLN1` planes keep
+/// [`campaign`] with a format-specific re-sign step — `PLN2` planes keep
 /// their digest in the trailing header rather than the last 8 bytes.
 pub fn campaign_with_refix<F>(
     base: &[u8],
@@ -263,17 +263,17 @@ pub fn closure_base_stream() -> Vec<u8> {
     rich_closure().to_bytes()
 }
 
-/// Geometry of the `PLN1` plane section (mirrors `tc-core::paged`): the
-/// plane image ends in a 224-byte header — whose final 8 bytes are an
-/// FNV-1a over the preceding 216 — followed by a 12-byte footer. The
+/// Geometry of the `PLN2` plane section (mirrors `tc-core::paged`): the
+/// plane image ends in a 192-byte header — whose final 8 bytes are an
+/// FNV-1a over the preceding 184 — followed by a 12-byte footer. The
 /// resident `HYB1` overlay follows the image, closed by a 60-byte trailer
 /// whose bytes 44..52 hold where the image ends.
-const PLANE_HEADER_BYTES: usize = 224;
-const PLANE_HEADER_HASHED: usize = 216;
+const PLANE_HEADER_BYTES: usize = 192;
+const PLANE_HEADER_HASHED: usize = 184;
 const PLANE_FOOTER_BYTES: usize = 12;
 const HYBRID_TRAILER_BYTES: usize = 60;
 
-/// Recomputes a `PLN1` image's header digest so a mutated plane passes the
+/// Recomputes a `PLN2` image's header digest so a mutated plane passes the
 /// header check and reaches the directory validation and probe paths. The
 /// header sits before the overlay when the (possibly mutated) trailer still
 /// names a plausible image end, else at the end of the file. (The payload
@@ -299,7 +299,7 @@ pub fn refix_plane_header(bytes: &mut [u8]) {
         .copy_from_slice(&sum.to_le_bytes());
 }
 
-/// The `PLN1` base corpus: the rich closure written in the paged format
+/// The `PLN2` base corpus: the rich closure written in the paged format
 /// (ITC1 stream + plane section + overlay).
 pub fn paged_base_stream() -> Vec<u8> {
     rich_closure().to_paged_bytes()
@@ -334,7 +334,7 @@ pub fn decode_paged(bytes: &[u8]) -> CaseOutcome {
     }
 }
 
-/// The `PLN1` mutation campaign: corrupt paged-plane files, open them with
+/// The `PLN2` mutation campaign: corrupt paged-plane files, open them with
 /// the O(directory) shallow open, and hammer the probe paths. Zero panics
 /// is the pass criterion — every length and offset a probe trusts came
 /// from the (validated) directory, so corruption must surface as a

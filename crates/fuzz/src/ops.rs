@@ -100,7 +100,7 @@ pub enum Op {
     /// against a DFS closure of the relation *as it was at publish time*
     /// (skipped when nothing has been published yet).
     ServiceQuery,
-    /// Round-trips the current closure through the out-of-core `PLN1`
+    /// Round-trips the current closure through the out-of-core `PLN2`
     /// format (`CompressedClosure::to_paged_bytes` →
     /// `PagedPlane::open_from_bytes` with an eviction-forcing 2-frame pool)
     /// and compares every paged answer against the closure under test.

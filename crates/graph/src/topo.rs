@@ -131,41 +131,6 @@ pub fn find_cycle(g: &DiGraph) -> Option<Vec<NodeId>> {
     None
 }
 
-/// A DFS-based topological order (reverse postorder). Provided in addition to
-/// Kahn's algorithm because tests cross-check the two and some callers want
-/// the DFS tie-breaking.
-pub fn topo_sort_dfs(g: &DiGraph) -> Result<Vec<NodeId>, CycleError> {
-    if let Some(cycle) = find_cycle(g) {
-        return Err(CycleError { cycle });
-    }
-    let n = g.node_count();
-    let mut visited = vec![false; n];
-    let mut postorder = Vec::with_capacity(n);
-    for start in g.nodes() {
-        if visited[start.index()] {
-            continue;
-        }
-        let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
-        visited[start.index()] = true;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let succ = g.successors(node);
-            if *next < succ.len() {
-                let child = succ[*next];
-                *next += 1;
-                if !visited[child.index()] {
-                    visited[child.index()] = true;
-                    stack.push((child, 0));
-                }
-            } else {
-                postorder.push(node);
-                stack.pop();
-            }
-        }
-    }
-    postorder.reverse();
-    Ok(postorder)
-}
-
 /// GRAIL-style negative-cutoff labels over one DFS of a DAG (Yıldırım,
 /// Chaoji & Zaki's GRAIL index, reduced to a single traversal).
 ///
@@ -500,13 +465,6 @@ mod tests {
     fn kahn_produces_valid_order() {
         let g = diamond();
         let order = topo_sort(&g).unwrap();
-        assert!(is_topo_order(&g, &order));
-    }
-
-    #[test]
-    fn dfs_produces_valid_order() {
-        let g = diamond();
-        let order = topo_sort_dfs(&g).unwrap();
         assert!(is_topo_order(&g, &order));
     }
 

@@ -90,6 +90,42 @@ pub fn reachable_set(g: &DiGraph, start: NodeId) -> BitSet {
     visited
 }
 
+/// Every node with a path to `node`, `node` included, into `out` (cleared
+/// first) in ascending id order: a breadth-first walk over in-arcs with an
+/// n-bit visited set, O(answer + its in-arcs). `in_arcs(v, buf)` appends
+/// `v`'s immediate predecessors to `buf`, each below `nodes`. It is asked
+/// once per node reached, so the walk ends whatever arcs it reports, and
+/// its first `Err` ends the walk early. The one `predecessors` algorithm:
+/// the mutable closure runs it over its graph, a frozen plane over its
+/// in-arc segment.
+pub fn ancestors_into<E>(
+    nodes: usize,
+    node: NodeId,
+    out: &mut Vec<NodeId>,
+    mut in_arcs: impl FnMut(NodeId, &mut Vec<NodeId>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut seen = BitSet::new(nodes);
+    seen.insert(node.index());
+    out.clear();
+    out.push(node);
+    let mut arcs = Vec::new();
+    // `out` doubles as the queue: everything before `next` has had its
+    // in-arcs followed.
+    let mut next = 0;
+    while let Some(&v) = out.get(next) {
+        next += 1;
+        arcs.clear();
+        in_arcs(v, &mut arcs)?;
+        for &u in &arcs {
+            if seen.insert(u.index()) {
+                out.push(u);
+            }
+        }
+    }
+    out.sort_unstable();
+    Ok(())
+}
+
 /// Whether a path `src →* dst` exists (reflexive: `reaches(g, v, v)` is
 /// always true). This is the naive query the compressed closure replaces.
 pub fn reaches(g: &DiGraph, src: NodeId, dst: NodeId) -> bool {

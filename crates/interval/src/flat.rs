@@ -14,12 +14,6 @@
 //! * [`merged_row_into`] — one label set as merged, ascending rank
 //!   intervals: the single merge rule behind every frozen row, the hybrid
 //!   row selection, and the stats histogram.
-//! * [`stab_tree`] / [`stab`] — the inverted index over *all* rank
-//!   intervals of *all* nodes sorted by lower endpoint: a max-`hi` segment
-//!   tree answering "which owners' intervals contain `t`?" (a stabbing
-//!   query) in O(k log m) instead of scanning every owner's row. The tree is
-//!   a flat `u32` array, so the frozen plane stores it as one segment and
-//!   [`stab`] descends it through any fallible accessor.
 //!
 //! The byte layout the rows are stored in lives in [`crate::paged`].
 
@@ -130,71 +124,6 @@ pub fn merged_row_into(line: &RankIndex, set: &IntervalSet, out: &mut Vec<(u32, 
             push_merged(out, rlo as u32, (rhi - 1) as u32);
         }
     }
-}
-
-/// Builds the stabbing segment tree over the upper endpoints `his` of
-/// intervals sorted by lower endpoint. The result has `2 * leaves` entries
-/// (`leaves` = next power of two of the interval count, root at 1): leaf
-/// `leaves + i` holds `his[i] + 1` and every internal node the maximum of
-/// its children. Padding leaves stay 0 ("max hi is minus infinity"), which
-/// the `+ 1` shift keeps distinct from `hi == 0`. Empty for no intervals.
-pub fn stab_tree(his: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
-    let m = his.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let leaves = m.next_power_of_two();
-    let mut tree = vec![0u32; 2 * leaves];
-    for (slot, hi) in tree[leaves..].iter_mut().zip(his) {
-        *slot = hi + 1;
-    }
-    for i in (1..leaves).rev() {
-        tree[i] = tree[2 * i].max(tree[2 * i + 1]);
-    }
-    tree
-}
-
-/// Reports, through `hit`, the position of every interval containing rank
-/// `t`, in ascending position order. `pos` is the number of intervals with
-/// `lo <= t` (a prefix, since positions are sorted by `lo`), `leaves` the
-/// tree's leaf count, and `tree(cx, i)` reads entry `i` of the [`stab_tree`]
-/// array. Both accessors get `cx`, so they can share one mutable reader.
-/// Subtrees entirely at or past `pos`, or whose max `hi` misses `t`, are
-/// pruned — each visited subtree holds a reported leaf or straddles `pos` —
-/// so the walk is O(k log m) for k hits among m intervals.
-pub fn stab<C, E>(
-    leaves: usize,
-    pos: usize,
-    t: u32,
-    cx: &mut C,
-    tree: &impl Fn(&mut C, usize) -> Result<u32, E>,
-    hit: &mut impl FnMut(&mut C, usize) -> Result<(), E>,
-) -> Result<(), E> {
-    #[allow(clippy::too_many_arguments)]
-    fn descend<C, E>(
-        node: usize,
-        lo: usize,
-        hi: usize,
-        pos: usize,
-        t: u32,
-        cx: &mut C,
-        tree: &impl Fn(&mut C, usize) -> Result<u32, E>,
-        hit: &mut impl FnMut(&mut C, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        if lo >= pos || tree(cx, node)? <= t {
-            return Ok(());
-        }
-        if hi - lo == 1 {
-            return hit(cx, lo);
-        }
-        let mid = lo + (hi - lo) / 2;
-        descend(2 * node, lo, mid, pos, t, cx, tree, hit)?;
-        descend(2 * node + 1, mid, hi, pos, t, cx, tree, hit)
-    }
-    if pos == 0 {
-        return Ok(());
-    }
-    descend(1, 0, leaves, pos, t, cx, tree, hit)
 }
 
 #[cfg(test)]
@@ -326,71 +255,4 @@ mod tests {
 
     rank_rows_tests!(wide_rows, KeyWidth::Wide);
     rank_rows_tests!(narrow_rows, KeyWidth::Narrow);
-
-    /// Sorts `(lo, hi, owner)` triples and stabs them through the tree,
-    /// returning owners in position order.
-    fn stab_owners(items: &[(u32, u32, u32)], t: u32) -> Vec<u32> {
-        let mut sorted = items.to_vec();
-        sorted.sort_unstable();
-        let tree = stab_tree(sorted.iter().map(|i| i.1));
-        let leaves = if sorted.is_empty() { 0 } else { sorted.len().next_power_of_two() };
-        let pos = sorted.partition_point(|i| i.0 <= t);
-        let mut out = Vec::new();
-        stab::<_, ()>(leaves, pos, t, &mut out, &|_, i| Ok(tree[i]), &mut |out, p| {
-            out.push(sorted[p].2);
-            Ok(())
-        })
-        .unwrap();
-        out
-    }
-
-    #[test]
-    fn empty_stabbing_index() {
-        assert!(stab_tree(std::iter::empty()).is_empty());
-        assert!(stab_owners(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn stab_matches_naive_scan() {
-        // Pseudo-random interval soup across a handful of owners; rank 0 is
-        // included to exercise the `hi + 1` sentinel shift.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for m in [1usize, 2, 3, 7, 8, 9, 63, 64, 100] {
-            let items: Vec<(u32, u32, u32)> = (0..m)
-                .map(|ix| {
-                    let lo = next() % 128;
-                    let hi = lo + next() % 32;
-                    (lo, hi, ix as u32 % 17)
-                })
-                .collect();
-            for t in 0..170u32 {
-                let mut got = stab_owners(&items, t);
-                got.sort_unstable();
-                let mut want: Vec<u32> = items
-                    .iter()
-                    .filter(|&&(lo, hi, _)| lo <= t && t <= hi)
-                    .map(|&(_, _, o)| o)
-                    .collect();
-                want.sort_unstable();
-                assert_eq!(got, want, "m {m}, t {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn stab_covers_rank_zero() {
-        let mut out = stab_owners(&[(0, 0, 1), (0, 3, 2), (1, 2, 3)], 0);
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn stab_reports_in_lo_order() {
-        let out = stab_owners(&[(1, 10, 5), (2, 9, 3), (3, 8, 1), (11, 12, 9)], 8);
-        assert_eq!(out, vec![5, 3, 1]);
-    }
 }

@@ -3,7 +3,7 @@
 //! Every frozen plane — resident or paged out-of-core — stores its
 //! per-node rank-interval rows the same way: a `HEADS` segment of
 //! fixed-size row headers and a `SPILL` segment of boundary keys, inside a
-//! page-aligned `PLN1` image. A disjoint, non-adjacent interval sequence is
+//! page-aligned `PLN2` image. A disjoint, non-adjacent interval sequence is
 //! exactly its sorted *boundary array* `lo_0, hi_0+1, lo_1, hi_1+1, ...`,
 //! and `t` is covered iff an odd number of boundaries are `<= t`. Each row
 //! header holds the first interval, the row's upper bound, and *fence*

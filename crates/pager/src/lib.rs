@@ -9,7 +9,7 @@
 //!
 //! * [`Pager`] — a page-granular disk: either an in-memory simulation with
 //!   read/write counters, or a real `File` addressed with `pread`/`pwrite`,
-//!   optionally windowed to a byte region of a larger stream (how a `PLN1`
+//!   optionally windowed to a byte region of a larger stream (how a `PLN2`
 //!   plane section embedded behind an `ITC1` stream is addressed).
 //! * [`BufferPool`] — exact-LRU caching over a pager with hit/miss/eviction
 //!   statistics, O(1) per fetch: a dense page table and an intrusive

@@ -5,7 +5,7 @@
 //! backend is a real `File` read and written at page granularity via
 //! `pread`/`pwrite` (`std::os::unix::fs::FileExt`), optionally windowed to a
 //! byte region inside a larger file — which is how the paged query plane
-//! addresses its `PLN1` section inside an `.itc` stream.
+//! addresses its `PLN2` section inside an `.itc` stream.
 
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};

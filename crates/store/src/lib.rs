@@ -10,7 +10,7 @@
 //! hit/miss statistics.
 //!
 //! Two layers build on it. The **paged query plane** in `tc-core`
-//! (`PagedPlane`) serves frozen-closure reachability straight from a `PLN1`
+//! (`PagedPlane`) serves frozen-closure reachability straight from a `PLN2`
 //! file section through the pool, so graphs larger than RAM stay queryable.
 //! And three page-resident stores replay the paper's §3.3 storage-layout
 //! comparison, with every page touch counted:

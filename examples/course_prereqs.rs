@@ -3,8 +3,8 @@
 //! A prerequisite DAG queried in both directions — "what must I take before
 //! X?" (predecessors) and "what does X unlock?" (successors) — over one
 //! [`tc_core::CompressedClosure`], plus concrete prerequisite chains via
-//! `find_path`. Freezing the closure answers predecessors by one stabbing
-//! query over the frozen plane's inverted interval index.
+//! `find_path`. Frozen or not, predecessors come from one reverse
+//! traversal over the prerequisite arcs.
 //!
 //! Run with: `cargo run -p tc-suite --example course_prereqs`
 
@@ -42,7 +42,7 @@ fn main() {
 
     let name = |v: NodeId| courses[v.index()];
 
-    // Everything required before machine learning (stabbing-index decode).
+    // Everything required before machine learning (reverse traversal).
     let mut before: Vec<&str> = tc
         .predecessors(NodeId(8))
         .into_iter()

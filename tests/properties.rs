@@ -233,13 +233,11 @@ proptest! {
         }
     }
 
-    /// Topological sorters agree with each other and with validity.
+    /// The topological sorter's order is valid.
     #[test]
     fn topo_sorts_are_valid(g in arb_dag(12)) {
         let kahn = topo::topo_sort(&g).unwrap();
-        let dfs = topo::topo_sort_dfs(&g).unwrap();
         prop_assert!(topo::is_topo_order(&g, &kahn));
-        prop_assert!(topo::is_topo_order(&g, &dfs));
     }
 
     /// Serialization round-trips arbitrary closures bit-for-bit.
@@ -635,7 +633,7 @@ proptest! {
 /// Freezes `c` with the hybrid oracle at `threshold` and checks every
 /// query surface — point probes via the batch path, successor decodes and
 /// counts, predecessors — against the mutable truth, plus the paged image
-/// of the same configuration (HYB1 overlay riding the PLN1 section)
+/// of the same configuration (HYB1 overlay riding the PLN2 section)
 /// through an eviction-heavy 2-frame pool. Exactly the over-threshold rows
 /// must have switched representation. Leaves the closure thawed.
 fn assert_hybrid_matches(c: &mut CompressedClosure, threshold: usize) {
