@@ -13,7 +13,7 @@
 //! Hopcroft–Karp over the closure's comparability pairs) so the theorem can
 //! be checked empirically against the strongest opponent.
 //!
-//! The paper's footnote 6 notes a further *chain reduction* variant of [18]
+//! The paper's footnote 6 notes a further *chain reduction* variant of \[18\]
 //! that "leaves some nodes uncovered by chains"; Theorem 2 explicitly
 //! excludes it ("We do not consider the additional compression offered by
 //! chain reduction in Thm 2"), and so does this module.

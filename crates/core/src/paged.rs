@@ -31,15 +31,18 @@
 //! bitset rows) after it. It rides behind an `ITC1` stream
 //! ([`CompressedClosure::save_paged`]) or stands alone (freeze-to-temp).
 //!
-//! * **One writer** derives each row once: a counting pass rank-compresses
-//!   every label set into `(lo, hi)` pairs in owner order, and the head and
-//!   spill segments are encoded from those; the in-arc segments are copied
-//!   from the graph as they are written. Only file targets are digested and
-//!   get a header and footer. Staging is bounded: 8 bytes per merged
-//!   interval (the pairs), about 16 bytes per node and per live rank (row
-//!   ends, rank and line arrays), and the resident overlay. Row heads and
-//!   spill keys are encoded one row at a time, so a paged freeze never
-//!   holds the image itself in memory.
+//! * **One writer, one pass**: each label set is rank-compressed once, in
+//!   node order, and its head and boundary keys are encoded as it passes;
+//!   rows over the hybrid threshold add their bitset rows on the way, and
+//!   the in-arc segments are copied from the graph as they are written.
+//!   Nothing is staged per interval: the writer holds only per-node and
+//!   per-rank arrays (rank, line, rank index) and the resident overlay. A
+//!   resident freeze writes into a buffer reserved once from the source
+//!   interval counts, which bound the spill, so it never reallocates. A
+//!   file target streams the spill behind a reserved heads region, writes
+//!   the heads back from an O(nodes) buffer, and reads the payload back
+//!   once for its digest, so a paged freeze never holds the spill in
+//!   memory. Only file targets are digested and get a header and footer.
 //! * **Instant restart** — [`PagedPlane::open`] reads only the footer,
 //!   header and overlay: O(directory), independent of the interval count.
 //! * Every query has a fallible `try_*` form whose reads are bounds-checked
@@ -54,7 +57,7 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Seek, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -368,86 +371,70 @@ fn too_big() -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, "plane exceeds PLN2 extents")
 }
 
-/// Everything a freeze derives from the labeling, staged in one pass over
-/// the label sets: the only per-interval state is the pairs array.
-struct Staged {
+/// What a freeze derives from the labeling ahead of its rows: per node and
+/// per live rank, nothing per interval.
+struct Shape {
     kw: KeyWidth,
     live: usize,
     source_intervals: usize,
     arcs: usize,
-    spill_keys: u64,
+    /// Spill keys the rows would take unmerged: a bound on the real count,
+    /// since rank merging only shortens a row and the padding is monotone.
+    spill_bound: u64,
     /// Rank of each node's own postorder number — the probe key.
     rank: Vec<u32>,
     /// Live node at each rank: decoding a rank interval is a slice copy.
     line_nodes: Vec<u32>,
-    /// Every merged rank interval as `(lo, hi)`, in owner order.
-    pairs: Vec<(u32, u32)>,
-    /// `row_ends[v]` is where node `v`'s row ends in `pairs`.
-    row_ends: Vec<usize>,
+    /// Postorder number to rank, for the row pass.
+    line: RankIndex,
 }
 
-/// Rank-compresses every label set of `lab` once (the counting pass).
-/// Keys are `u16` whenever the live line fits, unless `wide` forces `u32`.
-fn stage(graph: &DiGraph, lab: &Labeling, wide: bool) -> io::Result<Staged> {
-    let n = lab.post.len();
-    let live = lab.line.live_count();
-    let arcs = graph.edge_count();
-    debug_assert_eq!(graph.node_count(), n, "graph/labeling mismatch");
-    if n > u32::MAX as usize || live > u32::MAX as usize || arcs > u32::MAX as usize {
-        return Err(too_big());
-    }
-    let mut line_nums: Vec<u64> = Vec::with_capacity(live);
-    let mut line_nodes: Vec<u32> = Vec::with_capacity(live);
-    for (num, node) in lab.line.live_in_range(0, u64::MAX) {
-        line_nums.push(num);
-        line_nodes.push(node);
-    }
-    // Every node's own number is live, so the rank array is total.
-    let mut rank = vec![0u32; n];
-    for (r, &node) in line_nodes.iter().enumerate() {
-        rank[node as usize] = r as u32;
-    }
-    let kw = if live <= u16::MAX as usize && !wide { KeyWidth::Narrow } else { KeyWidth::Wide };
-    let line = RankIndex::new(line_nums);
-    let source_intervals: usize = lab.sets.iter().map(|s| s.count()).sum();
-    let mut pairs = Vec::with_capacity(source_intervals);
-    let mut row_ends = Vec::with_capacity(n);
-    let mut row = Vec::new();
-    let mut spill_keys = 0u64;
-    for set in &lab.sets {
-        merged_row_into(&line, set, &mut row);
-        pairs.extend_from_slice(&row);
-        spill_keys += padded_boundary_keys(row.len(), kw) as u64;
-        row_ends.push(pairs.len());
-    }
-    if pairs.len() > u32::MAX as usize || spill_keys > u32::MAX as u64 {
-        return Err(too_big());
-    }
-    Ok(Staged { kw, live, source_intervals, arcs, spill_keys, rank, line_nodes, pairs, row_ends })
+/// The counts the row pass leaves, and the overlay's bitset rows.
+struct Rows {
+    intervals: usize,
+    spill_keys: u64,
+    bitrows: BitRows,
 }
 
-impl Staged {
-    /// Each node's row of merged rank intervals, in node order.
-    fn rows(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
-        let mut start = 0;
-        self.row_ends.iter().map(move |&end| {
-            let row = &self.pairs[start..end];
-            start = end;
-            row
-        })
+impl Shape {
+    /// Ranks the live line of `lab`. Keys are `u16` whenever the live line
+    /// fits, unless `wide` forces `u32`.
+    fn of(graph: &DiGraph, lab: &Labeling, wide: bool) -> io::Result<Shape> {
+        let n = lab.post.len();
+        let live = lab.line.live_count();
+        let arcs = graph.edge_count();
+        debug_assert_eq!(graph.node_count(), n, "graph/labeling mismatch");
+        if n > u32::MAX as usize || live > u32::MAX as usize || arcs > u32::MAX as usize {
+            return Err(too_big());
+        }
+        let mut line_nums: Vec<u64> = Vec::with_capacity(live);
+        let mut line_nodes: Vec<u32> = Vec::with_capacity(live);
+        for (num, node) in lab.line.live_in_range(0, u64::MAX) {
+            line_nums.push(num);
+            line_nodes.push(node);
+        }
+        // Every node's own number is live, so the rank array is total.
+        let mut rank = vec![0u32; n];
+        for (r, &node) in line_nodes.iter().enumerate() {
+            rank[node as usize] = r as u32;
+        }
+        let kw = if live <= u16::MAX as usize && !wide { KeyWidth::Narrow } else { KeyWidth::Wide };
+        let (mut source_intervals, mut spill_bound) = (0, 0);
+        for set in &lab.sets {
+            source_intervals += set.count();
+            spill_bound += padded_boundary_keys(set.count(), kw) as u64;
+        }
+        let line = RankIndex::new(line_nums);
+        Ok(Shape { kw, live, source_intervals, arcs, spill_bound, rank, line_nodes, line })
     }
 
-    /// Lays the payload out in page-aligned segments for a section that
-    /// starts at `section_start`.
-    fn meta(&self, page_size: usize, section_start: u64) -> io::Result<PlaneMeta> {
-        assert!(
-            page_size >= 128 && page_size % 128 == 0,
-            "plane page size must be a multiple of 128"
-        );
+    /// Lays the payload out in page-aligned segments for `spill_keys`
+    /// boundary keys, in a section that starts at byte `section`. The
+    /// spill segment's offset does not depend on `spill_keys`.
+    fn layout(&self, intervals: usize, spill_keys: u64, section: u64) -> io::Result<PlaneMeta> {
         let n = self.rank.len();
-        let lens =
-            segment_lens(self.kw, n as u64, self.live as u64, self.arcs as u64, self.spill_keys);
-        let ps = page_size as u64;
+        let lens = segment_lens(self.kw, n as u64, self.live as u64, self.arcs as u64, spill_keys);
+        let ps = DEFAULT_PAGE_SIZE as u64;
         let mut segs = [Segment::default(); SEG_COUNT];
         let mut pos = 0u64;
         for (seg, &len) in segs.iter_mut().zip(&lens) {
@@ -457,81 +444,86 @@ impl Staged {
         }
         Ok(PlaneMeta {
             kw: self.kw,
-            page_size,
+            page_size: DEFAULT_PAGE_SIZE,
             nodes: n,
             live: self.live,
-            intervals: self.pairs.len(),
+            intervals,
             source_intervals: self.source_intervals,
             arcs: self.arcs,
-            spill_keys: self.spill_keys,
-            section_start,
-            payload_off: align_up(section_start, ps).ok_or_else(too_big)?,
+            spill_keys,
+            section_start: section,
+            payload_off: align_up(section, ps).ok_or_else(too_big)?,
             payload_len: align_up(pos, ps).ok_or_else(too_big)?,
             payload_fnv: None,
             segs,
         })
     }
 
-    /// The resident overlay: negative-cutoff labels over `graph`, and a
-    /// bitset row for every node whose merged row *exceeds* `threshold`
-    /// (`usize::MAX` selects none).
-    fn hybrid(&self, graph: &DiGraph, threshold: usize) -> ResidentHybrid {
-        let mut bits = BitRowsBuilder::new(self.rank.len(), self.live);
-        for (owner, row) in self.rows().enumerate() {
-            if row.len() > threshold {
-                bits.add_row(owner, row);
-            }
-        }
-        ResidentHybrid {
-            cutoff: CutoffLabels::build(graph),
-            bitrows: bits.finish(),
-            threshold: threshold as u64,
-        }
+    /// The layout at [`Shape::spill_bound`]: where the spill segment starts,
+    /// and the most payload the rows can take.
+    fn plan(&self, section_start: u64) -> io::Result<PlaneMeta> {
+        self.layout(0, self.spill_bound, section_start)
     }
 
-    /// Writes the payload — every segment and its alignment padding,
-    /// `meta.payload_len` bytes — to `out`, the in-arc segments straight
-    /// from `graph`.
-    fn write_payload<W: Write>(
+    /// The one row pass. Rank-compresses each label set of `lab` once, in
+    /// node order, and hands `emit` the node, its encoded row head and its
+    /// boundary keys, padding included. A row longer than `threshold` also
+    /// gets a bitset row (`usize::MAX` selects none).
+    fn encode_rows(
+        &self,
+        lab: &Labeling,
+        threshold: usize,
+        mut emit: impl FnMut(usize, &[u8], &[u8]) -> io::Result<()>,
+    ) -> io::Result<Rows> {
+        let kw = self.kw;
+        let mut bits = BitRowsBuilder::new(self.rank.len(), self.live);
+        let (mut row, mut keys, mut head) = (Vec::new(), Vec::new(), vec![0u8; kw.head_bytes()]);
+        let (mut intervals, mut spill_keys) = (0usize, 0u64);
+        for (owner, set) in lab.sets.iter().enumerate() {
+            merged_row_into(&self.line, set, &mut row);
+            let spill_start = u32::try_from(spill_keys).map_err(|_| too_big())?;
+            encode_head(&mut head, kw, &row, spill_start);
+            keys.clear();
+            encode_boundaries(&mut keys, kw, &row);
+            emit(owner, &head, &keys)?;
+            if row.len() > threshold {
+                bits.add_row(owner, &row);
+            }
+            intervals += row.len();
+            spill_keys += padded_boundary_keys(row.len(), kw) as u64;
+        }
+        debug_assert!(spill_keys <= self.spill_bound, "spill past its bound");
+        if intervals > u32::MAX as usize || spill_keys > u32::MAX as u64 {
+            return Err(too_big());
+        }
+        Ok(Rows { intervals, spill_keys, bitrows: bits.finish() })
+    }
+
+    /// Writes the segments after the spill — ranks, line and in-arcs, the
+    /// last two straight from `graph` — and pads to `meta.payload_len`.
+    /// `cursor` is the payload offset `out` stands at.
+    fn write_tail<W: Write>(
         &self,
         graph: &DiGraph,
         meta: &PlaneMeta,
         out: &mut W,
+        cursor: &mut u64,
     ) -> io::Result<()> {
-        let kw = self.kw;
-        let mut cursor = 0u64;
-        let mut head = vec![0u8; kw.head_bytes()];
-        let mut bounds: Vec<u8> = Vec::new();
-        let mut next_spill = 0u32;
-        pad_to(out, &mut cursor, meta.segs[SEG_HEADS].off)?;
-        for row in self.rows() {
-            encode_head(&mut head, kw, row, next_spill);
-            next_spill += padded_boundary_keys(row.len(), kw) as u32;
-            out.write_all(&head)?;
-            cursor += head.len() as u64;
-        }
-        pad_to(out, &mut cursor, meta.segs[SEG_SPILL].off)?;
-        for row in self.rows() {
-            bounds.clear();
-            encode_boundaries(&mut bounds, kw, row);
-            out.write_all(&bounds)?;
-            cursor += bounds.len() as u64;
-        }
-        pad_to(out, &mut cursor, meta.segs[SEG_RANK].off)?;
-        write_u32s(out, &mut cursor, self.rank.iter().copied())?;
-        pad_to(out, &mut cursor, meta.segs[SEG_LINE].off)?;
-        write_u32s(out, &mut cursor, self.line_nodes.iter().copied())?;
-        pad_to(out, &mut cursor, meta.segs[SEG_IN_OFFSETS].off)?;
+        pad_to(out, cursor, meta.segs[SEG_RANK].off)?;
+        write_u32s(out, cursor, self.rank.iter().copied())?;
+        pad_to(out, cursor, meta.segs[SEG_LINE].off)?;
+        write_u32s(out, cursor, self.line_nodes.iter().copied())?;
+        pad_to(out, cursor, meta.segs[SEG_IN_OFFSETS].off)?;
         let mut end = 0u32;
         let ends = graph.nodes().map(|v| {
             end += graph.predecessors(v).len() as u32;
             end
         });
-        write_u32s(out, &mut cursor, std::iter::once(0).chain(ends))?;
-        pad_to(out, &mut cursor, meta.segs[SEG_IN_SOURCES].off)?;
+        write_u32s(out, cursor, std::iter::once(0).chain(ends))?;
+        pad_to(out, cursor, meta.segs[SEG_IN_SOURCES].off)?;
         let sources = graph.nodes().flat_map(|v| graph.predecessors(v)).map(|u| u.0);
-        write_u32s(out, &mut cursor, sources)?;
-        pad_to(out, &mut cursor, meta.payload_len)
+        write_u32s(out, cursor, sources)?;
+        pad_to(out, cursor, meta.payload_len)
     }
 }
 
@@ -574,29 +566,51 @@ fn write_u32s<W: Write>(
     Ok(())
 }
 
-/// Writes `lab`'s frozen plane as a file image at the writer's position:
+/// Writes `lab`'s frozen plane as a file image at the stream's position:
 /// the digested `PLN2` section (payload, header, footer), then the `HYB1`
-/// overlay for `threshold` over `graph`.
-fn write_plane_file<W: Write + Seek>(
+/// overlay for `threshold` over `graph`. The spill streams out behind a
+/// reserved heads region, which is written back from an O(nodes) buffer;
+/// the payload is then read back once for its digest.
+fn write_plane_file<F: io::Read + Write + Seek>(
     graph: &DiGraph,
     lab: &Labeling,
     threshold: usize,
-    out: &mut W,
+    out: &mut F,
 ) -> io::Result<()> {
     let section_start = out.stream_position()?;
-    let staged = stage(graph, lab, false)?;
-    let mut meta = staged.meta(DEFAULT_PAGE_SIZE, section_start)?;
-    let hybrid = staged.hybrid(graph, threshold);
-    write_zeros(out, meta.payload_off - section_start)?;
-    let mut w = HashingWriter::new(&mut *out);
-    staged.write_payload(graph, &meta, &mut w)?;
-    debug_assert_eq!(w.written(), meta.payload_len);
-    meta.payload_fnv = Some(w.digest());
-    out.write_all(&meta.header())?;
-    out.write_all(&section_start.to_le_bytes())?;
-    out.write_all(&PLANE_MAGIC)?;
+    let shape = Shape::of(graph, lab, false)?;
+    let plan = shape.plan(section_start)?;
+    let spill_at = plan.segs[SEG_SPILL].off;
+    let hb = shape.kw.head_bytes();
+    let mut heads = vec![0u8; shape.rank.len() * hb];
+    let mut w = io::BufWriter::new(&mut *out);
+    write_zeros(&mut w, plan.payload_off - section_start + spill_at)?;
+    let rows = shape.encode_rows(lab, threshold, |owner, head, keys| {
+        heads[owner * hb..(owner + 1) * hb].copy_from_slice(head);
+        w.write_all(keys)
+    })?;
+    let mut meta = shape.layout(rows.intervals, rows.spill_keys, section_start)?;
+    let mut cursor = spill_at + rows.spill_keys * shape.kw.key_bytes() as u64;
+    shape.write_tail(graph, &meta, &mut w, &mut cursor)?;
+    w.flush()?;
+    drop(w);
+    out.seek(SeekFrom::Start(meta.payload_off))?;
+    out.write_all(&heads)?;
+    out.seek(SeekFrom::Start(meta.payload_off))?;
+    let mut digest = HashingWriter::new(io::sink());
+    io::copy(&mut io::Read::take(&mut *out, meta.payload_len), &mut digest)?;
+    if digest.written() != meta.payload_len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "plane payload read back short"));
+    }
+    meta.payload_fnv = Some(digest.digest());
+    let mut w = io::BufWriter::new(out);
+    w.write_all(&meta.header())?;
+    w.write_all(&section_start.to_le_bytes())?;
+    w.write_all(&PLANE_MAGIC)?;
     let plane_end = meta.payload_off + meta.payload_len + (HEADER_BYTES + FOOTER_BYTES) as u64;
-    hybrid.write_overlay(meta.live, plane_end, out)
+    let hybrid = ResidentHybrid::new(graph, rows.bitrows, threshold);
+    hybrid.write_overlay(meta.live, plane_end, &mut w)?;
+    w.flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +634,12 @@ struct ResidentHybrid {
 }
 
 impl ResidentHybrid {
+    /// The overlay of a freeze at `threshold`: negative-cutoff labels over
+    /// `graph` and the bitset rows the row pass selected.
+    fn new(graph: &DiGraph, bitrows: BitRows, threshold: usize) -> ResidentHybrid {
+        ResidentHybrid { cutoff: CutoffLabels::build(graph), bitrows, threshold: threshold as u64 }
+    }
+
     /// Appends the overlay and its trailer; `plane_end` is where the
     /// writer's `PLN2` image ends (the current position).
     fn write_overlay<W: Write>(&self, live: usize, plane_end: u64, out: &mut W) -> io::Result<()> {
@@ -821,8 +841,8 @@ pub trait PageSession {
     ) -> Result<R, PagedError>;
 }
 
-/// A resident payload: one buffer whose start is aligned to
-/// [`IMAGE_ALIGN`], so every page-aligned segment starts on a cache line.
+/// A resident payload: one buffer whose start is aligned to 128 bytes
+/// (two cache lines), so every page-aligned segment starts on a cache line.
 /// Its session is the payload slice itself: no lock, no lookup.
 #[derive(Debug)]
 pub struct MemPages {
@@ -831,21 +851,23 @@ pub struct MemPages {
 }
 
 impl MemPages {
-    /// Allocates room for a `len`-byte payload, lets `fill` append it to the
-    /// aligned buffer, and checks it wrote exactly that much.
-    fn build(
-        len: usize,
-        fill: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
-    ) -> io::Result<MemPages> {
-        let mut buf: Vec<u8> = Vec::with_capacity(len + IMAGE_ALIGN);
+    /// Reserves room for a payload of at most `bound` bytes and lets `fill`
+    /// append it to the aligned buffer. The buffer is never reallocated, so
+    /// it keeps its alignment: `fill` must stay within `bound`.
+    fn build<T>(
+        bound: usize,
+        fill: impl FnOnce(&mut Vec<u8>) -> io::Result<T>,
+    ) -> io::Result<(MemPages, T)> {
+        let mut buf: Vec<u8> = Vec::with_capacity(bound + IMAGE_ALIGN);
         let start = match buf.as_ptr().align_offset(IMAGE_ALIGN) {
             off if off < IMAGE_ALIGN => off,
             _ => 0,
         };
         buf.resize(start, 0);
-        fill(&mut buf)?;
-        debug_assert_eq!(buf.len(), start + len, "payload length off plan");
-        Ok(MemPages { buf, start })
+        let at = buf.as_ptr();
+        let made = fill(&mut buf)?;
+        assert!(buf.as_ptr() == at && buf.len() <= start + bound, "payload past its bound");
+        Ok((MemPages { buf, start }, made))
     }
 
     fn bytes(&self) -> &[u8] {
@@ -861,6 +883,7 @@ impl Clone for MemPages {
             Ok(())
         })
         .expect("in-memory copy")
+        .0
     }
 }
 
@@ -1562,14 +1585,29 @@ impl QueryPlane {
         Self::freeze_keys(graph, lab, threshold, true)
     }
 
+    /// Writes the payload straight into a buffer reserved at the plan's
+    /// bound: each row head into its slot, each row's keys appended behind
+    /// the heads, then the remaining segments.
     fn freeze_keys(graph: &DiGraph, lab: &Labeling, threshold: usize, wide: bool) -> QueryPlane {
         let build = || -> io::Result<QueryPlane> {
-            let staged = stage(graph, lab, wide)?;
-            let meta = staged.meta(DEFAULT_PAGE_SIZE, 0)?;
-            let hybrid = staged.hybrid(graph, threshold);
-            let pages = MemPages::build(meta.payload_len as usize, |w| {
-                staged.write_payload(graph, &meta, w)
+            let shape = Shape::of(graph, lab, wide)?;
+            let plan = shape.plan(0)?;
+            let hb = shape.kw.head_bytes();
+            let (pages, (meta, rows)) = MemPages::build(plan.payload_len as usize, |buf| {
+                let base = buf.len();
+                buf.resize(base + plan.segs[SEG_SPILL].off as usize, 0);
+                let rows = shape.encode_rows(lab, threshold, |owner, head, keys| {
+                    let at = base + owner * hb;
+                    buf[at..at + hb].copy_from_slice(head);
+                    buf.extend_from_slice(keys);
+                    Ok(())
+                })?;
+                let meta = shape.layout(rows.intervals, rows.spill_keys, 0)?;
+                let mut cursor = (buf.len() - base) as u64;
+                shape.write_tail(graph, &meta, buf, &mut cursor)?;
+                Ok((meta, rows))
             })?;
+            let hybrid = ResidentHybrid::new(graph, rows.bitrows, threshold);
             Ok(FrozenPlane { meta, pages, hybrid })
         };
         build().expect("plane exceeds PLN2 extents")
@@ -1580,7 +1618,7 @@ impl QueryPlane {
     #[cfg(test)]
     fn open_from_bytes(data: &[u8]) -> Result<QueryPlane, PagedError> {
         let (meta, payload, hybrid) = parse_image(data)?;
-        let pages = MemPages::build(payload.len(), |w| {
+        let (pages, ()) = MemPages::build(payload.len(), |w| {
             w.extend_from_slice(payload);
             Ok(())
         })?;
@@ -1789,9 +1827,9 @@ fn freeze_paged(
         TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     let write = || -> io::Result<()> {
-        let mut w = io::BufWriter::new(File::create(&path)?);
-        write_plane_file(graph, lab, threshold, &mut w)?;
-        w.flush()
+        let mut file =
+            File::options().read(true).write(true).create(true).truncate(true).open(&path)?;
+        write_plane_file(graph, lab, threshold, &mut file)
     };
     if let Err(e) = write() {
         let _ = fs::remove_file(&path);
@@ -1877,10 +1915,13 @@ impl CompressedClosure {
     /// reopened instantly with [`CompressedClosure::open_paged`] or loaded
     /// fully with [`CompressedClosure::load`].
     pub fn save_paged<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut w = io::BufWriter::new(File::create(path)?);
+        let mut file =
+            File::options().read(true).write(true).create(true).truncate(true).open(path)?;
+        let mut w = io::BufWriter::new(&mut file);
         self.write_to(&mut w)?;
-        write_plane_file(&self.graph, &self.lab, self.config.hybrid_threshold, &mut w)?;
-        w.flush()
+        w.flush()?;
+        drop(w);
+        write_plane_file(&self.graph, &self.lab, self.config.hybrid_threshold, &mut file)
     }
 
     /// [`CompressedClosure::save_paged`] into memory — the fuzz campaign's
@@ -2110,32 +2151,97 @@ mod tests {
         }
     }
 
-    /// Construction output pinned byte for byte: the FNV-1a of the `ITC1`
-    /// stream and the `PLN2` payload digest, for two seeded graphs built
-    /// with a gap and a refinement reserve. The cover, the sweep and the
-    /// rank compression are free to get faster; their output is not free
-    /// to change.
-    #[test]
-    fn construction_output_is_pinned() {
+    /// The two graphs [`construction_output_is_pinned`] builds, with a gap
+    /// and a refinement reserve.
+    fn pinned_closures() -> [CompressedClosure; 2] {
         let random = generators::random_dag(generators::RandomDagConfig {
             nodes: 2000,
             avg_out_degree: 2.0,
             seed: 1,
         });
         let layered = generators::dense_layered(12, 40, 4, 5);
-        let got: Vec<(u64, u64)> = [random, layered]
+        [random, layered].map(|g| ClosureConfig::new().gap(64).reserve(16).build(&g).unwrap())
+    }
+
+    /// The digest of `c`'s resident payload, after checking that payload
+    /// and the resident overlay byte for byte against `c`'s file image.
+    fn resident_payload_digest(c: &CompressedClosure) -> u64 {
+        let bytes = c.to_paged_bytes();
+        let (_, payload, hybrid) = parse_image(&bytes).unwrap();
+        let plane = QueryPlane::freeze(&c.graph, &c.lab, c.config.hybrid_threshold);
+        assert!(plane.pages.bytes() == payload, "resident payload differs from the file's");
+        assert_eq!(plane.hybrid.bitrows.slots(), hybrid.bitrows.slots());
+        assert_eq!(plane.hybrid.bitrows.words(), hybrid.bitrows.words());
+        fnv1a(plane.pages.bytes())
+    }
+
+    /// Construction output pinned byte for byte: the FNV-1a of the `ITC1`
+    /// stream, the `PLN2` payload digest and the resident payload's, for
+    /// two seeded graphs built with a gap and a refinement reserve. The
+    /// cover, the sweep and the rank compression are free to get faster;
+    /// their output is not free to change.
+    #[test]
+    fn construction_output_is_pinned() {
+        let got: Vec<(u64, u64, u64)> = pinned_closures()
             .iter()
-            .map(|g| {
-                let c = ClosureConfig::new().gap(64).reserve(16).build(g).unwrap();
+            .map(|c| {
                 let (meta, _, _) = parse_image(&c.to_paged_bytes()).unwrap();
-                (crate::codec::fnv1a(&c.to_bytes()), meta.payload_fnv.unwrap())
+                let resident = resident_payload_digest(c);
+                (crate::codec::fnv1a(&c.to_bytes()), meta.payload_fnv.unwrap(), resident)
             })
             .collect();
         let want = vec![
-            (0xaa6b_56c9_e010_7799, 0x7f67_2f57_4e9e_e4b9),
-            (0xeca9_d80f_a681_b563, 0x34ce_1f42_92b4_b9d2),
+            (0xaa6b_56c9_e010_7799, 0x7f67_2f57_4e9e_e4b9, 0x7f67_2f57_4e9e_e4b9),
+            (0xeca9_d80f_a681_b563, 0x34ce_1f42_92b4_b9d2, 0x34ce_1f42_92b4_b9d2),
         ];
         assert_eq!(got, want, "construction output changed");
+    }
+
+    /// The resident freeze and the file writer lay down the same payload
+    /// and overlay: at every hybrid threshold, after seeded §4 churn has
+    /// left dead numbers on the line, and after a relabel.
+    #[test]
+    fn resident_payload_is_the_file_payload() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        let at = |ix: usize| NodeId::from_index(ix);
+        for mut c in pinned_closures() {
+            let check = |c: &mut CompressedClosure| {
+                for threshold in [usize::MAX, 4, 0] {
+                    c.set_hybrid_threshold(threshold);
+                    resident_payload_digest(c);
+                }
+            };
+            check(&mut c);
+            for _ in 0..200 {
+                let n = c.node_count();
+                let (u, v) = (at(next(n)), at(next(n)));
+                match next(4) {
+                    0 => {
+                        c.add_node_with_parents(&[u]).unwrap();
+                    }
+                    // A refused cycle skips its turn.
+                    1 => {
+                        let _ = c.add_edge(u, v);
+                    }
+                    2 => {
+                        if let Some(&w) = c.graph.successors(u).first() {
+                            c.remove_edge(u, w).unwrap();
+                        }
+                    }
+                    _ => c.remove_node(u).unwrap(),
+                }
+            }
+            assert!(c.lab.line.tombstone_count() > 0, "churn left no dead numbers");
+            check(&mut c);
+            c.relabel();
+            check(&mut c);
+        }
     }
 
     /// A retired `PLN1` image (the stabbing-index layout, this one written

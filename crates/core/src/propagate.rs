@@ -42,6 +42,15 @@ pub(crate) fn propagate_scoped(g: &DiGraph, order: &[NodeId], lab: &mut Labeling
 
 /// Makes each node of `nodes`, in turn, inherit from all its successors:
 /// one linear merge-union per arc ([`tc_interval::IntervalSet::union_sorted`]).
+///
+/// Each node's set releases its spare capacity as soon as its last
+/// successor has been merged: no later step of the sweep touches it.
+/// Releasing inside the sweep lets the nodes still to come reuse the freed
+/// tails, so the labels cost about 16 bytes per interval; shrinking after
+/// the sweep instead raises the resident size (EXPERIMENTS.md X17). Full
+/// and scoped sweeps trim alike: a scoped sweep rebuilds its region from
+/// singletons by the same unions, and §4 insertions grow any set, trimmed
+/// or not, by amortized doubling.
 fn sweep(g: &DiGraph, nodes: impl Iterator<Item = NodeId>, lab: &mut Labeling) {
     let (mut scratch, mut tail) = (Vec::new(), Vec::new());
     for p in nodes {
@@ -49,6 +58,7 @@ fn sweep(g: &DiGraph, nodes: impl Iterator<Item = NodeId>, lab: &mut Labeling) {
             inherit_into_scratch(lab, q, &mut scratch);
             lab.sets[p.index()].union_sorted(&scratch, &mut tail);
         }
+        lab.sets[p.index()].shrink_to_fit();
     }
 }
 

@@ -258,7 +258,7 @@ fn rich_closure() -> tc_core::CompressedClosure {
     c
 }
 
-/// The serialized [`rich_closure`] — the closure-codec campaign's corpus.
+/// The serialized `rich_closure` — the closure-codec campaign's corpus.
 pub fn closure_base_stream() -> Vec<u8> {
     rich_closure().to_bytes()
 }

@@ -124,7 +124,7 @@ impl Key for u32 {
 }
 
 /// Slice width (in intervals) for a row of `m` intervals: the smallest
-/// [`SLICE_GRANULE`] multiple that fits `m` into `fences + 1` slices.
+/// multiple of the 8-interval slice granule that fits `m` into `fences + 1` slices.
 #[inline]
 pub fn slice_width(m: usize, kw: KeyWidth) -> usize {
     (m.div_ceil(kw.fences() + 1)).next_multiple_of(SLICE_GRANULE)
@@ -439,6 +439,20 @@ mod tests {
             (u16::FENCES, u32::FENCES),
             (KeyWidth::Narrow.fences(), KeyWidth::Wide.fences())
         );
+    }
+
+    /// The freeze reserves its resident buffer from unmerged row lengths,
+    /// which bounds the spill only because padding never shrinks as a row
+    /// grows.
+    #[test]
+    fn padding_is_monotone_in_the_row_length() {
+        for kw in [KeyWidth::Wide, KeyWidth::Narrow] {
+            for m in 0..20_000 {
+                let here = padded_boundary_keys(m, kw);
+                let next = padded_boundary_keys(m + 1, kw);
+                assert!(here <= next, "{kw:?}: {m} intervals pad to {here} keys, {m}+1 to {next}");
+            }
+        }
     }
 
     #[test]

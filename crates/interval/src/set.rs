@@ -195,6 +195,11 @@ impl IntervalSet {
         before - self.items.len()
     }
 
+    /// Releases the spare capacity that growth left behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
+    }
+
     /// Removes all intervals, keeping the allocation.
     pub fn clear(&mut self) {
         self.items.clear();
